@@ -25,53 +25,61 @@ let run_all ~quick =
     0 Harness.Experiments.all
 
 (* Shared rendering for the rt subcommands: the run summary and the
-   per-worker stats, all through Mstd.Table / Mstd.Units so columns
+   per-worker stats, both from one telemetry snapshot (the same data the
+   admin endpoint serves), through Mstd.Table / Mstd.Units so columns
    align and durations carry their natural unit. *)
-let print_rt_summary rt ~workers ~seconds =
+let print_rt_summary (snap : Rt.Telemetry.snapshot) ~workers ~seconds =
   let table = Mstd.Table.create ~headers:[ "total"; "value" ] in
   let add k v = Mstd.Table.add_row table [ k; v ] in
-  add "executed" (string_of_int (Rt.Runtime.executed rt));
+  let same_color =
+    Array.fold_left
+      (fun acc (w : Rt.Telemetry.worker_snap) -> max acc w.w_metrics.max_same_color)
+      0 snap.s_workers
+  in
+  add "executed" (string_of_int snap.s_executed);
   add "workers" (string_of_int workers);
   add "wall time" (Mstd.Units.seconds seconds);
   add "throughput"
     (Printf.sprintf "%sK ev/s"
-       (Mstd.Units.kevents_per_sec (float_of_int (Rt.Runtime.executed rt) /. seconds)));
-  add "steals" (string_of_int (Rt.Runtime.steals rt));
-  add "steal rounds" (string_of_int (Rt.Runtime.steal_attempts rt));
-  add "max same-color" (string_of_int (Rt.Runtime.max_concurrent_same_color rt));
-  add "handler errors" (string_of_int (Rt.Runtime.errors rt));
+       (Mstd.Units.kevents_per_sec (float_of_int snap.s_executed /. seconds)));
+  add "steals" (string_of_int snap.s_steals);
+  add "steal rounds" (string_of_int snap.s_steal_attempts);
+  add "max same-color" (string_of_int same_color);
+  add "handler errors" (string_of_int snap.s_errors);
   print_string (Mstd.Table.render table)
 
-let print_rt_stats rt =
+let print_rt_stats (snap : Rt.Telemetry.snapshot) =
   let table =
     Mstd.Table.create
       ~headers:
         [
-          "worker"; "executed"; "enqueued"; "steals in"; "steals out"; "failed rounds";
-          "visits"; "parks"; "park time"; "queue hwm"; "sheds"; "evicts"; "errors";
-          "last error";
+          "worker"; "executed"; "steals in"; "steals out"; "failed rounds"; "visits";
+          "parks"; "park time"; "busy time"; "qwait p50"; "qwait p99"; "service p99";
+          "sheds"; "evicts"; "errors";
         ]
   in
-  Array.iteri
-    (fun w (s : Rt.Metrics.snapshot) ->
+  Array.iter
+    (fun (w : Rt.Telemetry.worker_snap) ->
+      let m = w.w_metrics in
       Mstd.Table.add_row table
         [
-          string_of_int w;
-          string_of_int s.executed;
-          string_of_int s.enqueued;
-          string_of_int s.steals_in;
-          string_of_int s.steals_out;
-          string_of_int s.failed_attempts;
-          string_of_int s.visits;
-          string_of_int s.parks;
-          Mstd.Units.seconds s.park_seconds;
-          string_of_int s.queue_hwm;
-          string_of_int s.sheds;
-          string_of_int s.evictions;
-          string_of_int s.errors;
-          (match s.last_error with None -> "-" | Some (h, _) -> h);
+          string_of_int w.w_id;
+          string_of_int m.executed;
+          string_of_int m.steals_in;
+          string_of_int m.steals_out;
+          string_of_int m.failed_attempts;
+          string_of_int m.visits;
+          string_of_int m.parks;
+          Mstd.Units.seconds m.park_seconds;
+          Mstd.Units.duration_ns (float_of_int w.w_service_sum_ns);
+          Mstd.Units.duration_ns (Mstd.Histogram.quantile w.w_qwait 0.5);
+          Mstd.Units.duration_ns (Mstd.Histogram.quantile w.w_qwait 0.99);
+          Mstd.Units.duration_ns (Mstd.Histogram.quantile w.w_service 0.99);
+          string_of_int m.sheds;
+          string_of_int m.evictions;
+          string_of_int m.errors;
         ])
-    (Rt.Runtime.stats rt);
+    snap.s_workers;
   print_string (Mstd.Table.render table)
 
 let print_rt_latencies tr =
@@ -174,8 +182,9 @@ let run_rt workers events serve inject_rate duration =
       Rt.Clock.elapsed_seconds ~since:t0
     end
   in
-  print_rt_summary rt ~workers ~seconds:dt;
-  print_rt_stats rt;
+  let snap = Rt.Runtime.telemetry_snapshot rt in
+  print_rt_summary snap ~workers ~seconds:dt;
+  print_rt_stats snap;
   flush stdout;
   0
 
@@ -221,8 +230,9 @@ let run_rt_trace workers events trace_out trace_cap histograms =
   let t0 = Rt.Clock.now_ns () in
   Rt.Runtime.run_until_idle rt;
   let seconds = Rt.Clock.elapsed_seconds ~since:t0 in
-  print_rt_summary rt ~workers ~seconds;
-  print_rt_stats rt;
+  let snap = Rt.Runtime.telemetry_snapshot rt in
+  print_rt_summary snap ~workers ~seconds;
+  print_rt_stats snap;
   let tr = Option.get (Rt.Runtime.trace rt) in
   if histograms then print_rt_latencies tr;
   let retained =
@@ -257,59 +267,6 @@ let run_rt_trace workers events trace_out trace_cap histograms =
     Printf.printf "wrote %s — open it at https://ui.perfetto.dev\n" path);
   flush stdout;
   status
-
-(* Exit reporting for [rt serve] is sourced from one final telemetry
-   snapshot — the same data the admin endpoint serves — so the SIGINT
-   path and the --duration path print identical books. *)
-let print_rt_summary_snap (snap : Rt.Telemetry.snapshot) rt ~workers ~seconds =
-  let table = Mstd.Table.create ~headers:[ "total"; "value" ] in
-  let add k v = Mstd.Table.add_row table [ k; v ] in
-  add "executed" (string_of_int snap.Rt.Telemetry.s_executed);
-  add "workers" (string_of_int workers);
-  add "wall time" (Mstd.Units.seconds seconds);
-  add "throughput"
-    (Printf.sprintf "%sK ev/s"
-       (Mstd.Units.kevents_per_sec
-          (float_of_int snap.Rt.Telemetry.s_executed /. seconds)));
-  add "steals" (string_of_int snap.Rt.Telemetry.s_steals);
-  add "steal rounds" (string_of_int snap.Rt.Telemetry.s_steal_attempts);
-  add "max same-color" (string_of_int (Rt.Runtime.max_concurrent_same_color rt));
-  add "handler errors" (string_of_int snap.Rt.Telemetry.s_errors);
-  print_string (Mstd.Table.render table)
-
-let print_rt_stats_snap (snap : Rt.Telemetry.snapshot) =
-  let table =
-    Mstd.Table.create
-      ~headers:
-        [
-          "worker"; "executed"; "steals in"; "steals out"; "parks"; "park time";
-          "busy time"; "inbox"; "qwait p50"; "qwait p99"; "service p99"; "sheds";
-          "evicts"; "errors";
-        ]
-  in
-  Array.iter
-    (fun (w : Rt.Telemetry.worker_snap) ->
-      let m = w.Rt.Telemetry.w_metrics in
-      Mstd.Table.add_row table
-        [
-          string_of_int w.Rt.Telemetry.w_id;
-          string_of_int m.Rt.Metrics.executed;
-          string_of_int m.Rt.Metrics.steals_in;
-          string_of_int m.Rt.Metrics.steals_out;
-          string_of_int m.Rt.Metrics.parks;
-          Mstd.Units.seconds m.Rt.Metrics.park_seconds;
-          Mstd.Units.duration_ns (float_of_int w.Rt.Telemetry.w_service_sum_ns);
-          string_of_int w.Rt.Telemetry.w_inbox_depth;
-          Mstd.Units.duration_ns (Mstd.Histogram.quantile w.Rt.Telemetry.w_qwait 0.5);
-          Mstd.Units.duration_ns (Mstd.Histogram.quantile w.Rt.Telemetry.w_qwait 0.99);
-          Mstd.Units.duration_ns
-            (Mstd.Histogram.quantile w.Rt.Telemetry.w_service 0.99);
-          string_of_int m.Rt.Metrics.sheds;
-          string_of_int m.Rt.Metrics.evictions;
-          string_of_int m.Rt.Metrics.errors;
-        ])
-    snap.Rt.Telemetry.s_workers;
-  print_string (Mstd.Table.render table)
 
 (* Serve real TCP traffic: the rtnet poller owns the sockets and the
    worker domains run the fd-colored handlers (paper Figure 6). Runs
@@ -444,8 +401,8 @@ let run_rt_serve workers shards port max_clients duration files file_bytes trace
         ])
     shard_stats;
   print_string (Mstd.Table.render st);
-  print_rt_summary_snap snap rt ~workers ~seconds;
-  print_rt_stats_snap snap;
+  print_rt_summary snap ~workers ~seconds;
+  print_rt_stats snap;
   let tr = Option.get (Rt.Runtime.trace rt) in
   print_rt_latencies tr;
   let status =
@@ -461,7 +418,7 @@ let run_rt_serve workers shards port max_clients duration files file_bytes trace
       let tele_exec =
         Array.fold_left
           (fun acc (w : Rt.Telemetry.worker_snap) ->
-            acc + w.Rt.Telemetry.w_metrics.Rt.Metrics.executed)
+            acc + w.Rt.Telemetry.w_metrics.executed)
           0 snap.Rt.Telemetry.s_workers
       in
       let tele_hist =

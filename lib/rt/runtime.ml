@@ -52,8 +52,8 @@ type color_queue = {
           exact reader is either the owner itself (release, retire) or
           synchronizes with it first — a thief through the deque-claim
           CAS, the conservation audit through quiescence. Remote racy
-          reads (the queue-length high-water mark) only ever
-          undercount consumption, which is the safe direction. *)
+          reads (the mid-flight audit) only ever undercount
+          consumption, which is the safe direction. *)
   running : int Atomic.t;  (** concurrent executions; must never exceed 1 *)
   mutable weighted_in : int;
       (** Weighted cycles ever enqueued; written under the shard lock. *)
@@ -122,11 +122,12 @@ type worker_state = {
   mutable probe_rounds : int;  (** steal rounds since creation; owner-private *)
   mutable lat_victims : int list;
       (** locality order re-ranked by probe cost; owner-private cache *)
-  metrics : Metrics.t;
+  counters : Telemetry.counters;
+      (** this slot's live telemetry counters; written only by the
+          domain running the slot *)
   (* --- supervision state (one slot per worker; the slot survives the
-     domain, so a replacement inherits metrics/telemetry/trace shards
-     and stays the single writer — at most one live domain ever runs a
-     slot). --- *)
+     domain, so a replacement inherits telemetry/trace shards and stays
+     the single writer — at most one live domain ever runs a slot). --- *)
   busy_since : int Atomic.t;
       (** 0 = idle; else [Clock.now_ns] at the current event's start.
           Doubles as the heartbeat stamp and the wedge-age source.
@@ -199,10 +200,6 @@ type t = {
   victims : int list array;  (** per-worker locality victim order *)
   shards : shard array;
   pending : int Atomic.t;  (** queued events *)
-  executed : int Atomic.t;
-  steal_count : int Atomic.t;
-  attempt_count : int Atomic.t;
-  max_same_color : int Atomic.t;
   park_mutex : Mutex.t;
   park_cond : Condition.t;  (** idle workers sleep here *)
   quiesce_cond : Condition.t;
@@ -215,7 +212,6 @@ type t = {
   shutdown : int Atomic.t;  (** [accepting] / [draining] / [aborted] *)
   serving : bool Atomic.t;  (** workers persist across quiescence *)
   refused : int Atomic.t;  (** registers rejected by the shutdown gate *)
-  error_count : int Atomic.t;  (** handler invocations that raised *)
   telemetry : Telemetry.t;  (** always-on online stats plane *)
   trace : Trace.t option;  (** flight recorder; None = zero-cost disabled *)
   lifecycle_lock : Mutex.t;  (** serializes start/stop/run_until_idle *)
@@ -311,6 +307,7 @@ let create ?workers ?(ws = default_ws) ?(batch_threshold = 10)
     | Some (ctl, _) -> Policy.Controller.threshold ctl
     | None -> worthy_threshold
   in
+  let telemetry = Telemetry.create ~workers:n in
   {
     n;
     ws;
@@ -319,7 +316,7 @@ let create ?workers ?(ws = default_ws) ?(batch_threshold = 10)
     steal_policy = Atomic.make steal_policy;
     controller;
     states =
-      Array.init n (fun _ ->
+      Array.init n (fun w ->
           {
             inbox = Atomic.make [];
             deque = Spmc_queue.create ();
@@ -332,7 +329,7 @@ let create ?workers ?(ws = default_ws) ?(batch_threshold = 10)
             probe_cost = Array.make n 0.0;
             probe_rounds = 0;
             lat_victims = [];
-            metrics = Metrics.create ();
+            counters = Telemetry.counters telemetry ~worker:w;
             busy_since = Atomic.make 0;
             hb_last = Atomic.make 0;
             q_state = Atomic.make q_normal;
@@ -350,10 +347,6 @@ let create ?workers ?(ws = default_ws) ?(batch_threshold = 10)
       Array.init n_shards (fun _ ->
           { sh_lock = Spinlock.create (); sh_tbl = Hashtbl.create 16 });
     pending = Atomic.make 0;
-    executed = Atomic.make 0;
-    steal_count = Atomic.make 0;
-    attempt_count = Atomic.make 0;
-    max_same_color = Atomic.make 0;
     park_mutex = Mutex.create ();
     park_cond = Condition.create ();
     quiesce_cond = Condition.create ();
@@ -363,8 +356,7 @@ let create ?workers ?(ws = default_ws) ?(batch_threshold = 10)
     shutdown = Atomic.make accepting;
     serving = Atomic.make false;
     refused = Atomic.make 0;
-    error_count = Atomic.make 0;
-    telemetry = Telemetry.create ~workers:n;
+    telemetry;
     trace = Option.map (fun cfg -> Trace.create ~workers:n cfg) trace;
     lifecycle_lock = Mutex.create ();
     running = false;
@@ -383,6 +375,18 @@ let create ?workers ?(ws = default_ws) ?(batch_threshold = 10)
 
 let workers t = t.n
 
+(* Runtime totals are folds over the single-writer shards; no global
+   counter is touched per event. *)
+let sum_counters t f = Array.fold_left (fun acc ws -> acc + f ws.counters) 0 t.states
+
+let executed t = sum_counters t (fun c -> c.Telemetry.executed)
+let steals t = sum_counters t (fun c -> c.Telemetry.steals_in)
+let steal_attempts t = sum_counters t (fun c -> c.Telemetry.steal_rounds)
+let errors t = sum_counters t (fun c -> c.Telemetry.errors)
+
+let max_concurrent_same_color t =
+  Array.fold_left (fun acc ws -> max acc ws.counters.max_same_color) 0 t.states
+
 let handler _t ~name ?(declared_cycles = 1_000) ?(penalty = 1) () =
   if penalty < 1 then invalid_arg "Rt.Runtime.handler: penalty must be >= 1";
   { name; declared = declared_cycles; penalty }
@@ -398,8 +402,8 @@ let dummy_event =
 
 (* Queued length. Exact when read by the owner (it wrote [popped]
    itself) or after synchronizing with it; a remote racy read can see a
-   stale [popped] and overcount, which every remote caller (the
-   high-water-mark metric) tolerates. *)
+   stale [popped] and overcount, which the only remote caller (the
+   mid-flight conservation audit) tolerates. *)
 let cq_len cq = Atomic.get cq.pushed - cq.popped
 
 (* Append one event; caller holds the color's shard lock. The link
@@ -539,8 +543,6 @@ let publish t ~self ?home ?(wake = true) event =
     Atomic.incr ws.n_chained;
     inbox_push ws cq
   end;
-  Metrics.on_enqueue ws.metrics;
-  Metrics.note_queue_len ws.metrics (cq_len cq);
   (* No wakeup when the publisher is the owner and the event joined the
      color it is currently draining: the queue is unstealable (it is
      not in any deque) and this worker will pop it next anyway. In
@@ -648,10 +650,14 @@ let register t ?(color = default_color) ~handler run =
 
 (* Handler follow-ups count as in-flight work: a draining [stop] lets
    them through so interrupted chains can finish, only an abort refuses
-   them. [self] is the worker running the handler. *)
+   them. [self] is the worker running the handler, so the accepted
+   follow-up is counted in its own shard. *)
 let register_internal t ~self ~color ~handler run =
   if color < 0 then invalid_arg "Rt.Runtime.register: color must be >= 0";
-  ignore (enqueue t ~internal:true ~self (make_event ~handler ~color run))
+  if enqueue t ~internal:true ~self (make_event ~handler ~color run) then begin
+    let c = t.states.(self).counters in
+    c.enqueued <- c.enqueued + 1
+  end
 
 (* Retire a drained color from the map (only if it is still this
    queue), so recycled colors re-hash cleanly. Everything happens under
@@ -701,6 +707,17 @@ let drain_inbox ws =
     let got = Atomic.exchange ws.inbox [] in
     List.iter (fun cq -> Spmc_queue.push ws.deque cq) (List.rev got)
 
+(* Install [cq] as the owner's current queue (deque pop, which also
+   covers a rotated queue coming round again, or steal claim). The new
+   owner reads the queue's length exactly here, so the high-water mark
+   costs the publish path nothing. *)
+let make_current t ws cq =
+  ws.current <- Some cq;
+  Atomic.set ws.current_color cq.color;
+  ws.batch_remaining <- t.batch;
+  let len = cq_len cq in
+  if len > ws.counters.queue_hwm then ws.counters.queue_hwm <- len
+
 (* Next event for worker [w]. The owner's fast path is one atomic link
    load (the SPSC pop) and a batch counter decrement — no lock, no CAS.
    Batch rotation happens BEFORE popping, never after: a color-queue
@@ -734,9 +751,7 @@ let rec next_event t ws =
     match Spmc_queue.pop ws.deque with
     | Some cq ->
       Atomic.decr ws.n_chained;
-      ws.current <- Some cq;
-      Atomic.set ws.current_color cq.color;
-      ws.batch_remaining <- t.batch;
+      make_current t ws cq;
       next_event t ws
     | None -> None)
 
@@ -757,32 +772,21 @@ let request_abort t =
    forever. The failure is recorded per-worker, the event still counts
    as executed (conservation: every accepted event is consumed exactly
    once), and the [running]/[active]/[pending] accounting is identical
-   on both paths. *)
-let execute t w (cq : color_queue) event =
+   on both paths. [t0] is the busy stamp [worker_loop] took for this
+   event, so queue wait ends and service starts there; the end stamp is
+   returned for the heartbeat. Every counter write lands in this
+   worker's own shard before the caller clears [busy_since]. *)
+let execute t w ctx (cq : color_queue) event ~t0 =
+  let c = t.states.(w).counters in
   let concurrent = 1 + Atomic.fetch_and_add cq.running 1 in
   (* Record the worst concurrency ever observed for the invariant test. *)
-  let rec bump () =
-    let seen = Atomic.get t.max_same_color in
-    if concurrent > seen && not (Atomic.compare_and_set t.max_same_color seen concurrent)
-    then bump ()
-  in
-  bump ();
-  let ctx =
-    {
-      worker = w;
-      register =
-        (fun ?(color = default_color) ~handler run ->
-          register_internal t ~self:w ~color ~handler run);
-    }
-  in
-  let t0 = Clock.now_ns () in
+  if concurrent > c.max_same_color then c.max_same_color <- concurrent;
   let die_after = ref false in
   (match event.ev_run ctx with
   | () -> ()
   | exception e ->
-    Atomic.incr t.error_count;
-    Metrics.on_error t.states.(w).metrics ~handler:event.ev_handler.name
-      ~exn:(Printexc.to_string e);
+    c.errors <- c.errors + 1;
+    c.last_error <- Some (event.ev_handler.name, Printexc.to_string e);
     (match t.on_error with
     | Swallow -> ()
     | Stop_runtime -> request_abort t
@@ -796,8 +800,8 @@ let execute t w (cq : color_queue) event =
     (* Zombie path: while this handler wedged, the supervisor
        confiscated the slot — the queue was abandoned and this event
        counted with it, so finish with the bare [running] release and
-       no executed/telemetry writes (the slot stays Lost, so the
-       single-writer shards are safe either way). *)
+       no telemetry writes (the slot stays Lost, so the single-writer
+       shards are safe either way). *)
     Atomic.decr cq.running;
     raise Worker_quarantined
   end;
@@ -817,9 +821,8 @@ let execute t w (cq : color_queue) event =
     ~qwait_ns:(max 0 (Int64.to_int (Int64.sub t0 event.ev_enq)))
     ~service_ns:(max 0 (Int64.to_int (Int64.sub t1 t0)));
   Atomic.decr cq.running;
-  Atomic.incr t.executed;
-  Metrics.on_execute t.states.(w).metrics;
-  if !die_after then raise Worker_killed
+  if !die_after then raise Worker_killed;
+  t1
 
 (* Most-loaded-first victim order for the non-locality mode. The seed
    rebuilt the [List.init]/[List.filter] on every probe round; now the
@@ -979,27 +982,19 @@ let steal_from t w victim =
     let k = List.length claimed in
     ignore (Atomic.fetch_and_add vs.n_chained (-k));
     List.iter (fun cq -> Atomic.set cq.owner w) claimed;
-    ws.current <- Some first;
-    Atomic.set ws.current_color first.color;
-    ws.batch_remaining <- t.batch;
+    make_current t ws first;
     List.iter
       (fun cq ->
         Atomic.incr ws.n_chained;
         Spmc_queue.push ws.deque cq)
       extra;
-    ignore (Atomic.fetch_and_add t.steal_count k);
-    for _ = 1 to k do
-      Metrics.on_steal_in ws.metrics;
-      Metrics.on_steal_out vs.metrics
-    done;
-    Metrics.on_batch_extra ws.metrics ~count:(k - 1);
-    Metrics.note_queue_len ws.metrics (cq_len first);
     Telemetry.on_steal t.telemetry ~thief:w ~victim ~count:k;
     (Trace.Won, k)
 
 let try_steal t w =
-  Atomic.incr t.attempt_count;
   let ws = t.states.(w) in
+  let c = ws.counters in
+  c.steal_rounds <- c.steal_rounds + 1;
   ws.probe_rounds <- ws.probe_rounds + 1;
   (* One clock read per probe feeds both the Visit span and the
      probe-cost EWMA; skipped entirely when neither consumer is on. *)
@@ -1009,7 +1004,7 @@ let try_steal t w =
     | victim :: rest ->
       let t0 = if timing then Clock.now_ns () else 0L in
       let outcome, won_count = steal_from t w victim in
-      Metrics.on_visit ws.metrics;
+      c.visits <- c.visits + 1;
       let t1 = if timing then Clock.now_ns () else 0L in
       if t.ws.locality && t.ws.latency then
         probe_cost_update ws victim ~outcome
@@ -1021,7 +1016,7 @@ let try_steal t w =
       (match outcome with Trace.Won -> true | _ -> visit rest)
   in
   let won = visit (victim_order t w) in
-  if not won then Metrics.on_failed_attempt ws.metrics;
+  if not won then c.failed_attempts <- c.failed_attempts + 1;
   won
 
 (* Idle policy: exponential backoff while unstealable work is pending
@@ -1075,15 +1070,20 @@ let park t w ws =
        || (Atomic.get t.serving && Atomic.get t.shutdown = accepting))
   do
     if not !slept then begin
+      (* Counted on falling asleep, so a parked worker shows in
+         snapshots while it still is; the time is added after waking. *)
       slept := true;
-      Metrics.on_park_begin ws.metrics
+      ws.counters.parks <- ws.counters.parks + 1;
+      ws.counters.parked_now <- true
     end;
     Condition.wait t.park_cond t.park_mutex
   done;
   Atomic.decr t.n_parked;
   Mutex.unlock t.park_mutex;
   if !slept then begin
-    Metrics.on_park_end ws.metrics ~seconds:(Clock.elapsed_seconds ~since:t0);
+    let c = ws.counters in
+    c.parked_now <- false;
+    c.park_seconds <- c.park_seconds +. Clock.elapsed_seconds ~since:t0;
     match t.trace with
     | Some tr -> Trace.record_park tr ~worker:w ~start_ns:t0 ~end_ns:(Clock.now_ns ())
     | None -> ()
@@ -1091,6 +1091,14 @@ let park t w ws =
 
 let worker_loop t w =
   let ws = t.states.(w) in
+  let ctx =
+    {
+      worker = w;
+      register =
+        (fun ?(color = default_color) ~handler run ->
+          register_internal t ~self:w ~color ~handler run);
+    }
+  in
   (match t.trace with
   | Some tr -> Trace.record_start tr ~worker:w ~ns:(Clock.now_ns ())
   | None -> ());
@@ -1120,12 +1128,16 @@ let worker_loop t w =
         (* The busy stamp is raised before [pending] drops (SC): an
            observer seeing [pending = 0] sees this slot busy, so
            quiescence cannot be declared under a running handler. The
-           stamp doubles as the heartbeat and the wedge age. *)
-        Atomic.set ws.busy_since (max 1 (now_int ()));
+           stamp doubles as the heartbeat, the wedge age and the
+           event's start; its end stamp is the next heartbeat. The
+           event's counters are written before [busy_since] clears, so
+           whoever observes quiescence reads exact totals. *)
+        let t0 = Clock.now_ns () in
+        Atomic.set ws.busy_since (max 1 (Int64.to_int t0));
         Atomic.decr t.pending;
-        execute t w cq event;
+        let t1 = execute t w ctx cq event ~t0 in
         Atomic.set ws.busy_since 0;
-        Atomic.set ws.hb_last (now_int ());
+        Atomic.set ws.hb_last (Int64.to_int t1);
         (* Seeded worker-death site: the chaos drills kill workers
            mid-storm here — after the event's accounting, so
            conservation survives every kill schedule. *)
@@ -1197,10 +1209,10 @@ let on_death t w reason =
   (match ws.current with
   | Some cq when Atomic.get ws.busy_since <> 0 && Atomic.get cq.running > 0 ->
     (* Escaped from inside the handler: finish the event's accounting
-       the same way the contained-failure path would have. *)
+       the same way the contained-failure path would have (counted
+       executed, but with no latency sample to record). *)
     Atomic.decr cq.running;
-    Atomic.incr t.executed;
-    Metrics.on_execute ws.metrics
+    ws.counters.executed <- ws.counters.executed + 1
   | _ -> ());
   Atomic.set ws.busy_since 0;
   Atomic.set ws.hb_last (now_int ());
@@ -1602,13 +1614,13 @@ let apply_controller t =
         {
           Policy.Controller.sig_qwait_p99_ns = 0.0;
           sig_window_events = 0;
-          sig_steals = Atomic.get t.steal_count;
+          sig_steals = steals t;
         }
       | Some h ->
         {
           Policy.Controller.sig_qwait_p99_ns = Mstd.Histogram.quantile h 0.99;
           sig_window_events = Mstd.Histogram.count h;
-          sig_steals = Atomic.get t.steal_count;
+          sig_steals = steals t;
         }
     in
     Mutex.lock lock;
@@ -1624,13 +1636,8 @@ let tick_controller t =
   Telemetry.swap_window t.telemetry;
   apply_controller t
 
-let executed t = Atomic.get t.executed
-let steals t = Atomic.get t.steal_count
-let steal_attempts t = Atomic.get t.attempt_count
-let max_concurrent_same_color t = Atomic.get t.max_same_color
 let pending t = Atomic.get t.pending
 let refused t = Atomic.get t.refused
-let errors t = Atomic.get t.error_count
 let is_serving t = Atomic.get t.serving
 let abandoned t = Atomic.get t.abandoned
 let worker_restarts t = Atomic.get t.restart_count
@@ -1646,8 +1653,6 @@ let worker_phase t w =
   if w < 0 || w >= t.n then
     invalid_arg "Rt.Runtime.worker_phase: no such worker";
   phase_of_int (Atomic.get t.states.(w).phase)
-
-let stats t = Array.map (fun ws -> Metrics.snapshot ws.metrics) t.states
 
 let trace t = t.trace
 
@@ -1727,13 +1732,15 @@ let debug_check_conservation t =
    [worker]: the trace ring is single-writer per worker domain, so the
    calling domain has to be the one executing that worker's loop. *)
 let note_shed t ~worker ~color =
-  Metrics.on_shed t.states.(worker).metrics;
+  let c = t.states.(worker).counters in
+  c.sheds <- c.sheds + 1;
   match t.trace with
   | Some tr -> Trace.record_shed tr ~worker ~color ~ns:(Clock.now_ns ())
   | None -> ()
 
 let note_evict t ~worker ~color =
-  Metrics.on_evict t.states.(worker).metrics;
+  let c = t.states.(worker).counters in
+  c.evictions <- c.evictions + 1;
   match t.trace with
   | Some tr -> Trace.record_evict tr ~worker ~color ~ns:(Clock.now_ns ())
   | None -> ()
@@ -1742,9 +1749,12 @@ let telemetry t = t.telemetry
 
 (* Assemble the full telemetry-plane snapshot. Safe at any instant:
    every source is either atomic or a single-writer cell whose racy
-   read is monotone (see [Telemetry]). With [swap_window] the streaming
-   windows are rotated first, so the returned window histograms cover
-   the interval since the previous swap. *)
+   read is monotone (see [Telemetry]). Each shard is sampled once and
+   every total is derived from those samples — steals out from the
+   steal matrix's columns, the runtime totals from sums over workers —
+   so the snapshot agrees with itself exactly. With [swap_window] the
+   streaming windows are rotated first, so the returned window
+   histograms cover the interval since the previous swap. *)
 let telemetry_snapshot ?(swap_window = false) t =
   if swap_window then begin
     Telemetry.swap_window t.telemetry;
@@ -1754,22 +1764,27 @@ let telemetry_snapshot ?(swap_window = false) t =
     apply_controller t
   end;
   let snap_now = now_int () in
-  let worker w =
+  let samples = Array.init t.n (fun w -> Telemetry.sample t.telemetry ~worker:w) in
+  let steals_out = Array.make t.n 0 in
+  Array.iter
+    (fun (s : Telemetry.sample) ->
+      Array.iteri (fun v k -> steals_out.(v) <- steals_out.(v) + k) s.steals_from)
+    samples;
+  let worker w (s : Telemetry.sample) =
     let ws = t.states.(w) in
-    let s = Telemetry.sample t.telemetry ~worker:w in
     let busy = Atomic.get ws.busy_since in
     {
       Telemetry.w_id = w;
-      w_metrics = Metrics.snapshot ws.metrics;
+      w_metrics = { s.counters with steals_out = steals_out.(w) };
       w_inbox_depth = Atomic.get ws.n_chained;
       w_current_color = Atomic.get ws.current_color;
-      w_qwait_sum_ns = s.Telemetry.qwait_sum_ns;
-      w_service_sum_ns = s.Telemetry.service_sum_ns;
-      w_qwait = s.Telemetry.qwait;
-      w_service = s.Telemetry.service;
-      w_qwait_win = s.Telemetry.qwait_win;
-      w_service_win = s.Telemetry.service_win;
-      w_steals_from = s.Telemetry.steals_from;
+      w_qwait_sum_ns = s.qwait_sum_ns;
+      w_service_sum_ns = s.service_sum_ns;
+      w_qwait = s.qwait;
+      w_service = s.service;
+      w_qwait_win = s.qwait_win;
+      w_service_win = s.service_win;
+      w_steals_from = s.steals_from;
       w_live = Atomic.get ws.live;
       w_phase = phase_of_int (Atomic.get ws.phase);
       w_hb_age_ns = max 0 (snap_now - Atomic.get ws.hb_last);
@@ -1777,30 +1792,23 @@ let telemetry_snapshot ?(swap_window = false) t =
       w_restarts = Atomic.get ws.slot_restarts;
     }
   in
-  (* Workers before globals, explicitly: a worker's executed counter is
-     bumped after the global one, so reading per-worker first and the
-     global total second guarantees [sum per-worker <= s_executed] in
-     every snapshot — the bracketing the tests and CI assert on. *)
-  let s_workers = Array.init t.n worker in
+  let sum f = Array.fold_left (fun acc (s : Telemetry.sample) -> acc + f s.counters) 0 samples in
   {
     Telemetry.s_epoch = Telemetry.epoch t.telemetry;
-    s_workers;
-    s_executed = Atomic.get t.executed;
+    s_workers = Array.mapi worker samples;
+    s_executed = sum (fun c -> c.executed);
     s_pending = Atomic.get t.pending;
     s_active = live_active t;
-    s_steals = Atomic.get t.steal_count;
-    s_steal_attempts = Atomic.get t.attempt_count;
+    s_steals = sum (fun c -> c.steals_in);
+    s_steal_attempts = sum (fun c -> c.steal_rounds);
     s_refused = Atomic.get t.refused;
-    s_errors = Atomic.get t.error_count;
+    s_errors = sum (fun c -> c.errors);
     s_serving = Atomic.get t.serving;
     s_accepting = Atomic.get t.shutdown = accepting;
     s_steal_policy = Atomic.get t.steal_policy;
     s_worthy_threshold = Atomic.get t.worthy_threshold;
     s_controller = controller_snapshot t;
-    s_live_workers =
-      Array.fold_left
-        (fun acc ws -> if Atomic.get ws.live then acc + 1 else acc)
-        0 t.states;
+    s_live_workers = live_workers t;
     s_degraded = Atomic.get t.degraded;
     s_restarts = Atomic.get t.restart_count;
     s_migrations = Atomic.get t.migration_count;

@@ -32,9 +32,9 @@
     ]}
 
     Handler exceptions never kill a worker by accident: they are
-    contained at the execution boundary, recorded per-worker in
-    {!Metrics} and globally in {!errors}, and handled per the
-    {!failure_policy} given to {!create}.
+    contained at the execution boundary, recorded in the executing
+    worker's {!Telemetry.counters} (summed by {!errors}), and handled
+    per the {!failure_policy} given to {!create}.
 
     Worker domains can still die (a deliberate {!Restart_worker}
     policy, an injected fault, a bug past the containment boundary) or
@@ -51,7 +51,7 @@ type t
 type handler
 
 (** What to do when a handler raises. In every case the failure is
-    counted ({!errors}, {!Metrics.snapshot.errors}) with the handler
+    counted ({!errors}, {!Telemetry.counters.errors}) with the handler
     name and exception text, the event still counts as executed, and
     the runtime's accounting stays intact. *)
 type failure_policy =
@@ -234,7 +234,11 @@ val abandoned : t -> int
 val worker_phase : t -> int -> Supervision.phase
 (** Supervision phase of slot [w]. *)
 
-(** Counters observed after (or during) a run. *)
+(** Counters observed after (or during) a run. Each is a sum (or, for
+    {!max_concurrent_same_color}, a maximum) over the per-worker
+    {!Telemetry} shards; read racily while running they can lag the
+    newest events, and they are exact once {!quiesce}, {!stop} or
+    {!run_until_idle} returned. *)
 
 val executed : t -> int
 val steals : t -> int
@@ -270,16 +274,18 @@ val refused : t -> int
 
 val errors : t -> int
 (** Handler invocations that raised, across all workers; per-worker
-    detail (count, last handler name and exception) is in {!stats}. *)
+    detail (count, last handler name and exception) is in
+    {!telemetry_snapshot}. *)
 
 val max_concurrent_same_color : t -> int
 (** Highest number of simultaneously-executing events observed for any
     single color; the mutual-exclusion invariant requires this to be 1.
-    Tracked always (cheap atomics); the property tests assert on it. *)
+    Tracked always (one owner-private compare per event); the property
+    tests assert on it. *)
 
 val note_shed : t -> worker:int -> color:int -> unit
 (** Record a 503 load shed decided inside a handler: bumps the
-    executing worker's {!Metrics} shed counter and, when tracing is on,
+    executing worker's shed counter and, when tracing is on,
     leaves a [Shed] span in its ring. Must be called from inside a
     handler currently running on [worker] (the trace rings are
     single-writer per worker domain). *)
@@ -288,20 +294,16 @@ val note_evict : t -> worker:int -> color:int -> unit
 (** Record a deadline eviction (408) carried out inside a handler; same
     calling contract as {!note_shed}. *)
 
-val stats : t -> Metrics.snapshot array
-(** Per-worker counters (executed, enqueued, steals in/out, failed
-    steal rounds, victim visits, parks and park time, queue high-water
-    mark), cumulative across runs; index [w] is worker [w]. *)
-
 val telemetry : t -> Telemetry.t
 (** The always-on stats plane (e.g. to {!Telemetry.swap_window} on a
     schedule independent of snapshots). *)
 
 val telemetry_snapshot : ?swap_window:bool -> t -> Telemetry.snapshot
-(** Full telemetry-plane snapshot — per-worker metrics, queue-wait and
-    service-time histograms (cumulative + last closed window), steal
-    matrix, inbox-depth / current-color / parked gauges, and global
-    counters — taken at any instant without stopping the workers.
+(** Full telemetry-plane snapshot — per-worker counters (cumulative
+    across runs), queue-wait and service-time histograms (cumulative +
+    last closed window), steal matrix, inbox-depth / current-color /
+    parked gauges, and runtime totals — taken at any instant without
+    stopping the workers. This is the one read path for runtime stats.
     Counters are monotone, so two back-to-back snapshots bracket the
     live values. [swap_window] (default false) rotates the streaming
     windows first: pass it from exactly one periodic scraper so the

@@ -1,4 +1,4 @@
-(* Always-on online stats plane.
+(* Always-on online stats plane — the runtime's only stats substrate.
 
    One shard per worker, written only by the owning worker domain: the
    hot-path records are plain stores into caches the worker already
@@ -11,7 +11,31 @@
    selects which of two per-histogram buffers writers record into;
    readers take the last *closed* buffer. See {!Mstd.Histogram.Windowed}. *)
 
+(* The per-event fields come first: a neighbouring worker's record may
+   share the cache line holding this record's tail, which the owner
+   only touches on rare events. *)
+type counters = {
+  mutable executed : int;
+  mutable max_same_color : int;
+  mutable enqueued : int;
+  mutable steals_in : int;
+  mutable steals_out : int;
+  mutable batch_extra : int;
+  mutable steal_rounds : int;
+  mutable failed_attempts : int;
+  mutable visits : int;
+  mutable parks : int;
+  mutable park_seconds : float;
+  mutable parked_now : bool;
+  mutable queue_hwm : int;
+  mutable errors : int;
+  mutable last_error : (string * string) option;
+  mutable sheds : int;
+  mutable evictions : int;
+}
+
 type shard = {
+  c : counters;
   qwait : Mstd.Histogram.Windowed.t;  (** queue wait, ns *)
   service : Mstd.Histogram.Windowed.t;  (** handler service time, ns *)
   steals_from : int array;  (** row of the worker×victim steal matrix *)
@@ -30,6 +54,27 @@ type t = {
    the runtime can plausibly observe. *)
 let histogram_buckets = 48
 
+let zero_counters () =
+  {
+    executed = 0;
+    max_same_color = 0;
+    enqueued = 0;
+    steals_in = 0;
+    steals_out = 0;
+    batch_extra = 0;
+    steal_rounds = 0;
+    failed_attempts = 0;
+    visits = 0;
+    parks = 0;
+    park_seconds = 0.0;
+    parked_now = false;
+    queue_hwm = 0;
+    errors = 0;
+    last_error = None;
+    sheds = 0;
+    evictions = 0;
+  }
+
 let create ~workers =
   {
     (* Epoch starts at 1 so the pre-first-swap window (buffer parity 0)
@@ -38,6 +83,7 @@ let create ~workers =
     shards =
       Array.init workers (fun _ ->
           {
+            c = zero_counters ();
             qwait = Mstd.Histogram.Windowed.create ~buckets:histogram_buckets ();
             service = Mstd.Histogram.Windowed.create ~buckets:histogram_buckets ();
             steals_from = Array.make workers 0;
@@ -49,6 +95,7 @@ let create ~workers =
 let workers t = Array.length t.shards
 let epoch t = Atomic.get t.epoch
 let swap_window t = Atomic.incr t.epoch
+let counters t ~worker = t.shards.(worker).c
 
 (* Hot path; called by worker [worker] only (single writer). *)
 let on_exec t ~worker ~qwait_ns ~service_ns =
@@ -57,16 +104,21 @@ let on_exec t ~worker ~qwait_ns ~service_ns =
   Mstd.Histogram.Windowed.add s.qwait ~epoch (float_of_int qwait_ns);
   Mstd.Histogram.Windowed.add s.service ~epoch (float_of_int service_ns);
   s.qwait_sum_ns <- s.qwait_sum_ns + qwait_ns;
-  s.service_sum_ns <- s.service_sum_ns + service_ns
+  s.service_sum_ns <- s.service_sum_ns + service_ns;
+  s.c.executed <- s.c.executed + 1
 
-(* Called by the thief; it writes its own matrix row, so the matrix is
-   single-writer per row like everything else in the shard. [count] is
-   the number of color-queues the probe won (> 1 under batch steal). *)
+(* Called by the thief; it writes its own matrix row and counters, so
+   the matrix is single-writer per row like everything else in the
+   shard. [count] is the number of color-queues the probe won (> 1
+   under batch steal). *)
 let on_steal t ~thief ~victim ~count =
-  let row = t.shards.(thief).steals_from in
-  row.(victim) <- row.(victim) + count
+  let s = t.shards.(thief) in
+  s.steals_from.(victim) <- s.steals_from.(victim) + count;
+  s.c.steals_in <- s.c.steals_in + count;
+  s.c.batch_extra <- s.c.batch_extra + (count - 1)
 
 type sample = {
+  counters : counters;
   qwait : Mstd.Histogram.t;
   service : Mstd.Histogram.t;
   qwait_win : Mstd.Histogram.t;
@@ -80,6 +132,7 @@ let sample t ~worker =
   let s = t.shards.(worker) in
   let epoch = Atomic.get t.epoch in
   {
+    counters = { s.c with executed = s.c.executed };
     qwait = Mstd.Histogram.Windowed.cumulative s.qwait;
     service = Mstd.Histogram.Windowed.cumulative s.service;
     qwait_win = Mstd.Histogram.Windowed.window s.qwait ~epoch;
@@ -90,13 +143,13 @@ let sample t ~worker =
   }
 
 (* Full-plane snapshot assembled by {!Runtime.telemetry_snapshot}: the
-   runtime owns the worker states and global counters, so it fills
-   these records; the types live here so consumers (rtnet admin,
-   melyctl) depend on [Telemetry] alone. *)
+   runtime owns the worker states and the gate/supervision counters, so
+   it fills these records; the types live here so consumers (rtnet
+   admin, melyctl) depend on [Telemetry] alone. *)
 
 type worker_snap = {
   w_id : int;
-  w_metrics : Metrics.snapshot;
+  w_metrics : counters;
   w_inbox_depth : int;  (** colors currently chained to this worker *)
   w_current_color : int;  (** color being drained; -1 = idle *)
   w_qwait_sum_ns : int;

@@ -1,5 +1,7 @@
 (** Always-on online stats plane: per-worker single-writer shards,
-    snapshottable at any instant without stopping writers.
+    snapshottable at any instant without stopping writers. It is the
+    runtime's only stats substrate — every per-worker counter lives
+    here, and runtime totals are sums or maxima over the shards.
 
     Each worker owns one shard and records into it with plain stores —
     no lock, no atomic RMW on the hot path. Counters are monotone and
@@ -15,6 +17,49 @@
 
 type t
 
+(** One worker's counters. The live record returned by {!counters} is
+    written only by that worker's domain (plain stores); snapshots hand
+    out copies. *)
+type counters = {
+  mutable executed : int;  (** events this worker ran *)
+  mutable max_same_color : int;
+      (** largest same-color concurrency this worker observed when it
+          started an event; mutual exclusion requires it to stay <= 1 *)
+  mutable enqueued : int;
+      (** handler follow-ups this worker published (publisher side; the
+          external share of accepted events is executed + pending +
+          abandoned minus the sum over workers) *)
+  mutable steals_in : int;  (** color-queues this worker stole *)
+  mutable steals_out : int;
+      (** color-queues stolen from this worker: derived at snapshot
+          time from the steal matrix's column; the live record keeps 0 *)
+  mutable batch_extra : int;
+      (** color-queues this worker claimed beyond the first in batch
+          steals — [steals_in - batch_extra] is the number of winning
+          probes, so this is exactly what the batch policy saved *)
+  mutable steal_rounds : int;  (** steal rounds this worker started *)
+  mutable failed_attempts : int;  (** steal rounds that found no victim *)
+  mutable visits : int;
+      (** individual victims probed across all steal rounds; with the
+          per-visit trace spans this makes locality ordering auditable *)
+  mutable parks : int;  (** times the worker parked on the idle condition *)
+  mutable park_seconds : float;  (** total wall-clock time spent parked *)
+  mutable parked_now : bool;  (** asleep on the idle condition right now *)
+  mutable queue_hwm : int;
+      (** largest backlog of any color-queue at the moment this worker
+          made it current (deque pop or steal claim), read exactly by
+          the new owner *)
+  mutable errors : int;  (** handler invocations that raised on this worker *)
+  mutable last_error : (string * string) option;
+      (** most recent failure as [(handler name, exception text)] *)
+  mutable sheds : int;
+      (** requests this worker refused with a 503 load shed
+          ({!Runtime.note_shed}) *)
+  mutable evictions : int;
+      (** connection evictions this worker carried out
+          ({!Runtime.note_evict}) *)
+}
+
 val create : workers:int -> t
 val workers : t -> int
 
@@ -25,17 +70,24 @@ val swap_window : t -> unit
 (** Close the current window and open a fresh one. Any reader may call
     this; writers notice the epoch change on their next record. *)
 
+val counters : t -> worker:int -> counters
+(** The live counters of worker [worker]. Only that worker's domain may
+    write them; any domain may read them racily. *)
+
 val on_exec : t -> worker:int -> qwait_ns:int -> service_ns:int -> unit
-(** Record one executed event: queue wait (enqueue to start of run) and
-    service time. Must be called by worker [worker]'s own domain. *)
+(** Record one executed event: bumps [executed] and records queue wait
+    (enqueue to start of run) and service time. Must be called by
+    worker [worker]'s own domain. *)
 
 val on_steal : t -> thief:int -> victim:int -> count:int -> unit
-(** Record a won steal of [count] color-queues in the worker×victim
-    matrix ([count > 1] under a batch policy). Must be called by the
-    thief's domain (each row is single-writer). *)
+(** Record a won steal of [count] color-queues: the worker×victim
+    matrix cell, [steals_in] and [batch_extra] ([count > 1] under a
+    batch policy). Must be called by the thief's domain (each row is
+    single-writer). *)
 
 (** Racy-read-safe copies of one worker's shard. *)
 type sample = {
+  counters : counters;  (** copy; [steals_out] is 0 *)
   qwait : Mstd.Histogram.t;  (** cumulative queue-wait, ns *)
   service : Mstd.Histogram.t;  (** cumulative service time, ns *)
   qwait_win : Mstd.Histogram.t;  (** last closed window *)
@@ -52,12 +104,13 @@ val sample : t -> worker:int -> sample
 (** {1 Full-plane snapshot}
 
     Assembled by {!Runtime.telemetry_snapshot}, which owns the worker
-    states and global counters; the types live here so consumers
-    (rtnet's admin endpoint, melyctl) need only [Telemetry]. *)
+    states and the gate and supervision counters; the types live here
+    so consumers (rtnet's admin endpoint, melyctl) need only
+    [Telemetry]. *)
 
 type worker_snap = {
   w_id : int;
-  w_metrics : Metrics.snapshot;
+  w_metrics : counters;  (** copy, with [steals_out] filled in *)
   w_inbox_depth : int;  (** colors currently chained to this worker *)
   w_current_color : int;  (** color being drained; -1 = idle *)
   w_qwait_sum_ns : int;
@@ -77,6 +130,9 @@ type worker_snap = {
   w_restarts : int;  (** times this slot's domain was respawned *)
 }
 
+(** [s_executed], [s_steals], [s_steal_attempts] and [s_errors] are the
+    sums of the per-worker [executed], [steals_in], [steal_rounds] and
+    [errors] in [s_workers], so they agree with them exactly. *)
 type snapshot = {
   s_epoch : int;
   s_workers : worker_snap array;

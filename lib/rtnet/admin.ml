@@ -109,7 +109,8 @@ let metrics_text (rt : Rt.Telemetry.snapshot) (net : net) =
       counter ~name:"mely_worker_executed_total" ~help:"Events executed by worker"
         ~labels m.executed;
       counter ~name:"mely_worker_enqueued_total"
-        ~help:"Events enqueued onto worker's queues" ~labels m.enqueued;
+        ~help:"Handler follow-ups published by worker (publisher side)" ~labels
+        m.enqueued;
       counter ~name:"mely_worker_steals_in_total" ~help:"Color-queues worker stole"
         ~labels m.steals_in;
       counter ~name:"mely_worker_steals_out_total"

@@ -45,9 +45,10 @@
     runtime backlog is at or past [overload.shed_pending_hwm] are shed
     with a [503 + Connection: close], and EMFILE/ENFILE on accept backs
     the acceptor off exponentially (50 ms doubling to 1 s) instead of
-    hot-looping. Every one of these shows up in {!stats}, in
-    {!Rt.Metrics} (sheds / evictions) and — when tracing is on — as
-    [Shed] / [Evict] spans in the {!Rt.Trace} flight recorder.
+    hot-looping. Every one of these shows up in {!stats}, in the
+    worker's {!Rt.Telemetry.counters} (sheds / evictions) and — when
+    tracing is on — as [Shed] / [Evict] spans in the {!Rt.Trace}
+    flight recorder.
 
     Fault plane: every network syscall the server makes (read, write,
     accept, select, close) is routed through an {!Rt.Faults} shim. The

@@ -156,34 +156,45 @@ let test_worthy_threshold_param () =
     (Rt.Runtime.steals rt > 0)
 
 let test_stats_accounting () =
-  (* The per-worker metrics must tie out against the global counters. *)
+  (* The per-worker counters of the telemetry snapshot must tie out
+     against the runtime totals. *)
   let rt = Rt.Runtime.create ~workers:3 () in
   let h = Rt.Runtime.handler rt ~name:"stats" ~declared_cycles:100_000 () in
   let n = 60 in
+  let work () =
+    let acc = ref 0 in
+    for j = 1 to 2_000 do
+      acc := !acc + j
+    done;
+    ignore !acc
+  in
   for i = 0 to n - 1 do
-    Rt.Runtime.register rt ~color:(1 + (i mod 9)) ~handler:h (fun _ ->
-        let acc = ref 0 in
-        for j = 1 to 2_000 do
-          acc := !acc + j
-        done;
-        ignore !acc)
+    let color = 1 + (i mod 9) in
+    Rt.Runtime.register rt ~color ~handler:h (fun ctx ->
+        work ();
+        if i mod 3 = 0 then ctx.register ~color ~handler:h (fun _ -> work ()))
   done;
   Rt.Runtime.run_until_idle rt;
-  let stats = Rt.Runtime.stats rt in
-  Alcotest.(check int) "one snapshot per worker" 3 (Array.length stats);
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
-  Alcotest.(check int) "executed ties out" n
-    (sum (fun (s : Rt.Metrics.snapshot) -> s.executed));
-  Alcotest.(check int) "enqueued ties out" n
-    (sum (fun (s : Rt.Metrics.snapshot) -> s.enqueued));
+  let s = Rt.Runtime.telemetry_snapshot rt in
+  Alcotest.(check int) "one row per worker" 3 (Array.length s.s_workers);
+  let stats = Array.map (fun (w : Rt.Telemetry.worker_snap) -> w.w_metrics) s.s_workers in
+  let sum f = Array.fold_left (fun acc c -> acc + f c) 0 stats in
+  let follow_ups = n / 3 in
+  Alcotest.(check int) "executed ties out" (n + follow_ups)
+    (sum (fun (c : Rt.Telemetry.counters) -> c.executed));
+  Alcotest.(check int) "snapshot total = runtime total" (Rt.Runtime.executed rt)
+    s.s_executed;
+  Alcotest.(check int) "follow-ups counted by their publisher" follow_ups
+    (sum (fun (c : Rt.Telemetry.counters) -> c.enqueued));
   Alcotest.(check int) "steals in tie out" (Rt.Runtime.steals rt)
-    (sum (fun (s : Rt.Metrics.snapshot) -> s.steals_in));
+    (sum (fun (c : Rt.Telemetry.counters) -> c.steals_in));
   Alcotest.(check int) "steals out tie out" (Rt.Runtime.steals rt)
-    (sum (fun (s : Rt.Metrics.snapshot) -> s.steals_out));
+    (sum (fun (c : Rt.Telemetry.counters) -> c.steals_out));
   Array.iter
-    (fun (s : Rt.Metrics.snapshot) ->
-      Alcotest.(check bool) "park time non-negative" true (s.park_seconds >= 0.0);
-      Alcotest.(check bool) "hwm sane" true (s.queue_hwm >= 0 && s.queue_hwm <= n))
+    (fun (c : Rt.Telemetry.counters) ->
+      Alcotest.(check bool) "park time non-negative" true (c.park_seconds >= 0.0);
+      Alcotest.(check bool) "hwm sane" true
+        (c.queue_hwm >= 0 && c.queue_hwm <= n + follow_ups))
     stats
 
 let test_spinlock () =

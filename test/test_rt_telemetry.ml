@@ -1,9 +1,9 @@
 (* The live telemetry plane (lib/rt/telemetry.ml): snapshots taken
    under a concurrent register/execute storm must be internally
    consistent without ever stopping the writers — monotone counters,
-   histogram totals that close against Rt.Metrics once quiescent, and
-   bracketing (two back-to-back snapshots pin every live value between
-   them, i.e. no torn reads). *)
+   per-worker counters and histogram totals that close against the
+   runtime totals once quiescent, and bracketing (two back-to-back
+   snapshots pin every live value between them, i.e. no torn reads). *)
 
 let burn = ref 0
 
@@ -15,10 +15,14 @@ let spin ctx =
 
 (* Serve a storm from [injectors] external domains while [observe] runs
    concurrently in this thread; returns (events injected, observe's
-   result) once everything has drained and stopped. *)
-let with_storm ?(workers = 4) ?(injectors = 3) ?(per_injector = 2_000) observe =
-  let rt = Rt.Runtime.create ~workers () in
-  let h = Rt.Runtime.handler rt ~name:"storm" ~declared_cycles:1_000 () in
+   result) once everything has drained and stopped. [event h color] is
+   the handler body for [color]; [unbalanced] homes every color on
+   worker 0, so the other workers only get work by stealing. *)
+let with_storm ?(workers = 4) ?(injectors = 3) ?(per_injector = 2_000) ?steal_policy
+    ?(unbalanced = false) ?(event = fun _ _ -> spin) observe =
+  let rt = Rt.Runtime.create ~workers ?steal_policy () in
+  (* Above the default worthiness bar: every queued color is stealable. *)
+  let h = Rt.Runtime.handler rt ~name:"storm" ~declared_cycles:10_000 () in
   Rt.Runtime.start rt;
   let injected = Atomic.make 0 in
   let doms =
@@ -26,7 +30,8 @@ let with_storm ?(workers = 4) ?(injectors = 3) ?(per_injector = 2_000) observe =
         Domain.spawn (fun () ->
             for i = 0 to per_injector - 1 do
               let color = (d * per_injector) + i in
-              if Rt.Runtime.try_register rt ~color ~handler:h spin then
+              let color = if unbalanced then workers * color else color in
+              if Rt.Runtime.try_register rt ~color ~handler:h (event h color) then
                 Atomic.incr injected
             done))
   in
@@ -103,45 +108,63 @@ let test_back_to_back_snapshots_bracket () =
   in
   ()
 
-(* Once quiescent the books close exactly: the sum of per-worker
-   executed equals the runtime total, and both histogram families hold
-   exactly one observation per executed event. *)
+(* Once quiescent the books close exactly, after an unbalanced
+   steal-half storm whose handlers also publish follow-ups and raise:
+   every runtime total equals the sum over workers of the counter it is
+   derived from, both histogram families hold one observation per
+   executed event, and the steal matrix's rows and columns both sum to
+   the steal total. *)
 let test_quiescent_totals_close () =
-  let injected, rt, () = with_storm (fun _ -> ()) in
+  let follow_ups = Atomic.make 0 and failures = Atomic.make 0 in
+  let event h color (ctx : Rt.Runtime.ctx) =
+    spin ctx;
+    if color mod 5 = 0 then begin
+      Atomic.incr follow_ups;
+      ctx.register ~color ~handler:h spin
+    end;
+    if color mod 11 = 0 then begin
+      Atomic.incr failures;
+      failwith "storm failure"
+    end
+  in
+  let injected, rt, () =
+    with_storm ~steal_policy:Rt.Policy.Steal_half ~unbalanced:true ~event (fun _ -> ())
+  in
   let s = Rt.Runtime.telemetry_snapshot rt in
+  let sum f =
+    Array.fold_left (fun acc (w : Rt.Telemetry.worker_snap) -> acc + f w) 0 s.s_workers
+  in
   Alcotest.(check bool) "storm injected" true (injected > 0);
-  Alcotest.(check int) "snapshot executed = injected" injected s.s_executed;
-  let per_worker = Array.fold_left ( + ) 0 (snap_exec_per_worker s) in
-  Alcotest.(check int) "per-worker sum = executed" s.s_executed per_worker;
-  let qwait_total =
-    Array.fold_left
-      (fun acc (w : Rt.Telemetry.worker_snap) ->
-        acc + Mstd.Histogram.count w.w_qwait)
-      0 s.s_workers
-  in
-  let service_total =
-    Array.fold_left
-      (fun acc (w : Rt.Telemetry.worker_snap) ->
-        acc + Mstd.Histogram.count w.w_service)
-      0 s.s_workers
-  in
-  Alcotest.(check int) "qwait histogram total = executed" s.s_executed qwait_total;
+  Alcotest.(check int) "snapshot executed = injected + follow-ups"
+    (injected + Atomic.get follow_ups) s.s_executed;
+  Alcotest.(check int) "per-worker executed sum = executed" s.s_executed
+    (Array.fold_left ( + ) 0 (snap_exec_per_worker s));
+  Alcotest.(check int) "runtime total = snapshot total" (Rt.Runtime.executed rt)
+    s.s_executed;
+  Alcotest.(check int) "qwait histogram total = executed" s.s_executed
+    (sum (fun w -> Mstd.Histogram.count w.w_qwait));
   Alcotest.(check int) "service histogram total = executed" s.s_executed
-    service_total;
-  (* Metrics agree with telemetry, worker by worker. *)
-  Array.iteri
-    (fun i (m : Rt.Metrics.snapshot) ->
-      Alcotest.(check int) "metrics = telemetry per worker" m.executed
-        (s.s_workers.(i).w_metrics.executed))
-    (Rt.Runtime.stats rt);
-  (* The steal matrix row sums close against the steal counters. *)
-  let matrix_total =
-    Array.fold_left
-      (fun acc (w : Rt.Telemetry.worker_snap) ->
-        acc + Array.fold_left ( + ) 0 w.w_steals_from)
-      0 s.s_workers
-  in
-  Alcotest.(check int) "steal matrix total = steals" s.s_steals matrix_total
+    (sum (fun w -> Mstd.Histogram.count w.w_service));
+  (* Steals: counted by the thief, derived for the victim. *)
+  Alcotest.(check bool) "work was stolen" true (s.s_steals > 0);
+  Alcotest.(check int) "steals in sum = steals" s.s_steals
+    (sum (fun w -> w.w_metrics.steals_in));
+  Alcotest.(check int) "steals out sum (matrix columns) = steals" s.s_steals
+    (sum (fun w -> w.w_metrics.steals_out));
+  Alcotest.(check int) "steal matrix total = steals" s.s_steals
+    (sum (fun w -> Array.fold_left ( + ) 0 w.w_steals_from));
+  Alcotest.(check int) "steal rounds sum = steal attempts" s.s_steal_attempts
+    (sum (fun w -> w.w_metrics.steal_rounds));
+  Alcotest.(check int) "errors sum = errors" s.s_errors
+    (sum (fun w -> w.w_metrics.errors));
+  Alcotest.(check int) "every failure counted" (Atomic.get failures) s.s_errors;
+  (* [enqueued] is publisher-side: workers count the follow-ups they
+     publish, so the external share is what the rest of the books say. *)
+  let enqueued = sum (fun w -> w.w_metrics.enqueued) in
+  Alcotest.(check int) "follow-ups counted by their publisher" (Atomic.get follow_ups)
+    enqueued;
+  Alcotest.(check int) "external = executed + pending + abandoned - enqueued" injected
+    (s.s_executed + s.s_pending + s.s_abandoned - enqueued)
 
 (* The epoch-swapped window: observations land in the current window,
    a swap rotates them out for readers, and the cumulative histogram
@@ -194,7 +217,7 @@ let suite =
       test_snapshot_monotone_under_storm;
     Alcotest.test_case "back-to-back snapshots bracket live counters" `Quick
       test_back_to_back_snapshots_bracket;
-    Alcotest.test_case "quiescent totals close against Rt.Metrics" `Quick
+    Alcotest.test_case "quiescent totals close against Rt.Telemetry shards" `Quick
       test_quiescent_totals_close;
     Alcotest.test_case "streaming window rotates on epoch swap" `Quick
       test_window_epoch_swap;

@@ -169,7 +169,7 @@ let test_latency_histograms () =
 
 (* Per-victim steal accounting: every steal round probes at least one
    victim, every successful steal is a Won visit, and the trace agrees
-   with the Metrics counter. *)
+   with the telemetry counters. *)
 let test_visit_accounting () =
   let rt =
     Rt.Runtime.create ~workers:3 ~trace:{ Rt.Trace.capacity = 65_536; histograms = false }
@@ -177,15 +177,25 @@ let test_visit_accounting () =
   in
   let heavy = Rt.Runtime.handler rt ~name:"heavy" ~declared_cycles:400_000 () in
   for i = 0 to 599 do
-    (* All colors home on worker 0: the others can only steal. *)
+    (* All colors home on worker 0: the others can only steal. The
+       first event holds its worker until a sibling has stolen (bounded
+       wait): on a loaded host the other domains can start late enough
+       to find the backlog already gone. *)
     Rt.Runtime.register rt ~color:(3 * (1 + (i mod 12))) ~handler:heavy (fun _ ->
+        let budget = ref (if i = 0 then 20_000 else 0) in
+        while !budget > 0 && Rt.Runtime.steals rt = 0 do
+          decr budget;
+          busywork 20_000
+        done;
         busywork 20_000)
   done;
   Rt.Runtime.run_until_idle rt;
   let tr = trace_of rt in
-  let stats = Rt.Runtime.stats rt in
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
-  let visits = sum (fun (s : Rt.Metrics.snapshot) -> s.visits) in
+  let visits =
+    Array.fold_left
+      (fun acc (w : Rt.Telemetry.worker_snap) -> acc + w.w_metrics.visits)
+      0 (Rt.Runtime.telemetry_snapshot rt).s_workers
+  in
   let traced_visits = ref 0 and traced_won = ref 0 in
   for w = 0 to 2 do
     List.iter
@@ -198,7 +208,7 @@ let test_visit_accounting () =
       (Rt.Trace.spans tr w)
   done;
   Alcotest.(check bool) "work was stolen" true (Rt.Runtime.steals rt > 0);
-  Alcotest.(check int) "trace and metrics agree on visits" visits !traced_visits;
+  Alcotest.(check int) "trace and counters agree on visits" visits !traced_visits;
   Alcotest.(check int) "one Won visit per steal" (Rt.Runtime.steals rt) !traced_won;
   Alcotest.(check bool) "every round probes at least one victim" true
     (visits >= Rt.Runtime.steal_attempts rt)

@@ -201,8 +201,8 @@ let test_shed_503 () =
         (s.reqs_served + s.reqs_failed + s.reqs_shed);
       let sheds =
         Array.fold_left
-          (fun a (m : Rt.Metrics.snapshot) -> a + m.sheds)
-          0 (Rt.Runtime.stats rt)
+          (fun a (w : Rt.Telemetry.worker_snap) -> a + w.w_metrics.sheds)
+          0 (Rt.Runtime.telemetry_snapshot rt).s_workers
       in
       Alcotest.(check int) "metrics counted the shed" 1 sheds)
 
@@ -258,8 +258,8 @@ let test_slow_loris_408 () =
       Alcotest.(check int) "accepted = closed" s.conns_accepted s.conns_closed;
       let evictions =
         Array.fold_left
-          (fun a (m : Rt.Metrics.snapshot) -> a + m.evictions)
-          0 (Rt.Runtime.stats rt)
+          (fun a (w : Rt.Telemetry.worker_snap) -> a + w.w_metrics.evictions)
+          0 (Rt.Runtime.telemetry_snapshot rt).s_workers
       in
       Alcotest.(check bool) "metrics counted the eviction" true (evictions >= 1))
 
