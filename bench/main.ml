@@ -198,8 +198,10 @@ let bench_rt_hot_push_pop ~events () =
 (* Steal-path stress: every color hashes to worker 0 and every color is
    immediately steal-worthy, so the other workers spend the run inside
    the steal protocol. Handlers are kept small: the measured rate is
-   the cost of migrating ownership, not of the handler bodies. *)
-let bench_rt_steal_storm ~workers ~events () =
+   the cost of migrating ownership, not of the handler bodies. [name]
+   lets the same shape also feed the history's [rt_unbalanced_steal_one]
+   series (the thief claims one color-queue per winning probe). *)
+let bench_rt_steal_storm ?(name = "rt_steal_storm") ~workers ~events () =
   let rt = Rt.Runtime.create ~workers () in
   let h = Rt.Runtime.handler rt ~name:"storm" ~declared_cycles:100_000 () in
   let colors = 16 * workers in
@@ -215,115 +217,16 @@ let bench_rt_steal_storm ~workers ~events () =
   done;
   let t0 = Rt.Clock.now_ns () in
   Rt.Runtime.run_until_idle rt;
-  rt_result ~name:"rt_steal_storm" ~workers
-    ~seconds:(Rt.Clock.elapsed_seconds ~since:t0) rt
-
-(* Policy matrix: the steal-storm shape (every color homed on worker 0,
-   every color immediately worthy) under each batch policy. On this
-   workload the whole difference between policies is how many probe
-   rounds the migration takes — Steal_half should rebalance in O(log n)
-   winning probes where Steal_one pays one round per color. Run as
-   [rounds] interleaved passes (one → two → half, repeated) so drift in
-   machine load hits every policy equally, then report the median round
-   per policy. *)
-let bench_rt_unbalanced_policy ~workers ~events ~policy () =
-  let rt = Rt.Runtime.create ~workers ~steal_policy:policy () in
-  let h = Rt.Runtime.handler rt ~name:"storm" ~declared_cycles:100_000 () in
-  let colors = 16 * workers in
-  for i = 0 to events - 1 do
-    Rt.Runtime.register rt ~color:(workers * (1 + (i mod colors))) ~handler:h
-      (fun _ ->
-        let acc = ref 0 in
-        for j = 1 to 200 do
-          acc := !acc + j
-        done;
-        ignore !acc)
-  done;
-  let t0 = Rt.Clock.now_ns () in
-  Rt.Runtime.run_until_idle rt;
-  rt_result
-    ~name:
-      (Printf.sprintf "rt_unbalanced_steal_%s" (Rt.Policy.batch_to_string policy))
-    ~workers
-    ~seconds:(Rt.Clock.elapsed_seconds ~since:t0)
-    rt
+  rt_result ~name ~workers ~seconds:(Rt.Clock.elapsed_seconds ~since:t0) rt
 
 let rate r = if r.rb_seconds > 0.0 then float_of_int r.rb_events /. r.rb_seconds else 0.0
 
-let bench_policy_matrix ~workers ~events ~rounds () =
-  let policies = [ Rt.Policy.Steal_one; Rt.Policy.Steal_two; Rt.Policy.Steal_half ] in
-  let runs = Hashtbl.create 3 in
-  for _ = 1 to rounds do
-    List.iter
-      (fun p ->
-        let r = bench_rt_unbalanced_policy ~workers ~events ~policy:p () in
-        let prev = try Hashtbl.find runs p with Not_found -> [] in
-        Hashtbl.replace runs p (r :: prev))
-      policies
-  done;
-  (* The reported entry per policy is the median round by events/sec,
-     so every rb_* field in it comes from one coherent run. *)
-  List.map
-    (fun p ->
-      let sorted =
-        List.sort (fun a b -> compare (rate a) (rate b)) (Hashtbl.find runs p)
-      in
-      List.nth sorted (List.length sorted / 2))
-    policies
-
-(* Online adaptation end-to-end: start at Steal_one with the controller
-   on, drive the same unbalanced storm through the serving lifecycle
-   while a sidecar ticks the controller at ~100 Hz (the cadence a
-   /stats.json?swap=1 poller would), and report which policy it
-   converged to. *)
-let bench_rt_policy_adapt ~workers ~events () =
-  let rt =
-    Rt.Runtime.create ~workers ~steal_policy:Rt.Policy.Steal_one
-      ~controller:Rt.Policy.Controller.default_config ()
-  in
-  let h = Rt.Runtime.handler rt ~name:"adapt" ~declared_cycles:100_000 () in
-  let colors = 16 * workers in
-  Rt.Runtime.start rt;
-  let t0 = Rt.Clock.now_ns () in
-  let stop_ticker = Atomic.make false in
-  (* Did the controller reach Steal_half while the overload was live?
-     That is the convergence claim; once the storm drains, walking back
-     down is correct behavior, not a failure to converge. *)
-  let reached_half = Atomic.make false in
-  let ticker =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop_ticker) do
-          Rt.Runtime.tick_controller rt;
-          if Rt.Runtime.steal_policy rt = Rt.Policy.Steal_half then
-            Atomic.set reached_half true;
-          Unix.sleepf 0.005
-        done)
-  in
-  let feeder =
-    Domain.spawn (fun () ->
-        for i = 0 to events - 1 do
-          ignore
-            (Rt.Runtime.try_register rt ~color:(1 + (i mod colors)) ~home:0
-               ~handler:h (fun _ ->
-                 let acc = ref 0 in
-                 for j = 1 to 200 do
-                   acc := !acc + j
-                 done;
-                 ignore !acc))
-        done)
-  in
-  Domain.join feeder;
-  Rt.Runtime.quiesce rt;
-  Atomic.set stop_ticker true;
-  Domain.join ticker;
-  let seconds = Rt.Clock.elapsed_seconds ~since:t0 in
-  let final_policy = Rt.Runtime.steal_policy rt in
-  let ctl = Rt.Runtime.controller_snapshot rt in
-  Rt.Runtime.stop rt;
-  ( rt_result ~name:"rt_policy_adapt" ~workers ~seconds rt,
-    final_policy,
-    Atomic.get reached_half,
-    ctl )
+(* The median of [rounds] runs by events/sec, so every rb_* field of
+   the reported entry comes from one coherent run. *)
+let median_of_rounds ~rounds run =
+  let runs = List.init rounds (fun _ -> run ()) in
+  let sorted = List.sort (fun a b -> compare (rate a) (rate b)) runs in
+  List.nth sorted (rounds / 2)
 
 (* Steady state: injector threads feed the live runtime as fast as they
    can while the workers drain it, so the measured rate includes the
@@ -538,10 +441,9 @@ let run_soak_json ?(duration = 3.0) path =
 let run_rt_json path =
   let workers = min 4 (max 2 (Domain.recommended_domain_count () - 1)) in
   let events = 20_000 in
-  let matrix_rounds = 7 in
-  let matrix = bench_policy_matrix ~workers ~events:8_000 ~rounds:matrix_rounds () in
-  let adapt, adapt_policy, adapt_reached_half, adapt_ctl =
-    bench_rt_policy_adapt ~workers ~events:80_000 ()
+  let unbalanced =
+    median_of_rounds ~rounds:7
+      (bench_rt_steal_storm ~name:"rt_unbalanced_steal_one" ~workers ~events:8_000)
   in
   let results =
     [
@@ -559,15 +461,13 @@ let run_rt_json path =
          rt_sharded_serve (target: within 5%, gate: 20%). *)
       bench_rt_sharded_serve ~scrape:true ~workers ();
     ]
-    @ matrix @ [ adapt ]
+    @ [ unbalanced ]
   in
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{\n  \"benches\": [\n";
   List.iteri
     (fun i r ->
-      let events_per_sec =
-        if r.rb_seconds > 0.0 then float_of_int r.rb_events /. r.rb_seconds else 0.0
-      in
+      let events_per_sec = rate r in
       let latencies =
         match r.rb_latencies with
         | [] -> ""
@@ -596,45 +496,10 @@ let run_rt_json path =
         r.rb_name r.rb_workers r.rb_events r.rb_seconds events_per_sec r.rb_steals
         r.rb_parks)
     results;
-  Buffer.add_string buf "  ],\n";
-  (* Policy matrix summary: one median rate per policy plus the
-     headline comparison the acceptance gate reads. *)
-  let matrix_rate p =
-    let name = Printf.sprintf "rt_unbalanced_steal_%s" (Rt.Policy.batch_to_string p) in
-    match List.find_opt (fun r -> r.rb_name = name) matrix with
-    | Some r -> rate r
-    | None -> 0.0
-  in
-  let one = matrix_rate Rt.Policy.Steal_one in
-  let two = matrix_rate Rt.Policy.Steal_two in
-  let half = matrix_rate Rt.Policy.Steal_half in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"policy_matrix\": {\"rounds\": %d, \"median_events_per_sec\": \
-        {\"one\": %.1f, \"two\": %.1f, \"half\": %.1f}, \
-        \"steal_half_beats_steal_one\": %b},\n"
-       matrix_rounds one two half (half > one));
-  let ticks, escalations =
-    match adapt_ctl with
-    | Some c -> (c.Rt.Policy.Controller.cs_ticks, c.cs_escalations)
-    | None -> (0, 0)
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"policy_adapt\": {\"final_policy\": %S, \"ticks\": %d, \
-        \"escalations\": %d, \"converged_to_half\": %b}\n"
-       (Rt.Policy.batch_to_string adapt_policy)
-       ticks escalations adapt_reached_half);
-  Buffer.add_string buf "}\n";
+  Buffer.add_string buf "  ]\n}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc;
-  Printf.printf
-    "policy matrix (median of %d): one %.0f ev/s, two %.0f ev/s, half %.0f ev/s; \
-     adapt: %s after %d ticks\n%!"
-    matrix_rounds one two half
-    (Rt.Policy.batch_to_string adapt_policy)
-    ticks;
   Printf.printf "wrote %s\n%!" path
 
 (* Real-TCP serving bench: in-process Rtnet.Server + Loadgen over

@@ -273,18 +273,7 @@ let run_rt_trace workers events trace_out trace_cap histograms =
    until --duration elapses or SIGINT/SIGTERM, then drains, replays the
    flight-recorder trace, and exits nonzero on any invariant violation. *)
 let run_rt_serve workers shards port max_clients duration files file_bytes trace_out
-    admin_port steal_policy =
-  let policy, controller =
-    match steal_policy with
-    | "auto" -> (Rt.Policy.Steal_one, Some Rt.Policy.Controller.default_config)
-    | s -> (
-      match Rt.Policy.batch_of_string s with
-      | Some p -> (p, None)
-      | None ->
-        Printf.eprintf
-          "melyctl: --steal-policy must be one, two, half or auto (got %s)\n" s;
-        exit 2)
-  in
+    admin_port =
   if workers < 1 then (
     Printf.eprintf "melyctl: --workers must be >= 1 (got %d)\n" workers;
     exit 2);
@@ -312,17 +301,9 @@ let run_rt_serve workers shards port max_clients duration files file_bytes trace
   let cache = Httpkit.Response.prebuild_cache ~files:site in
   let rt =
     Rt.Runtime.create ~workers ~on_error:Rt.Runtime.Swallow
-      ~trace:Rt.Trace.default_config ~steal_policy:policy ?controller ()
+      ~trace:Rt.Trace.default_config ()
   in
   Rt.Runtime.start rt;
-  (match controller with
-  | Some _ ->
-    Printf.printf
-      "steal policy: auto (online controller, starting at %s, threshold %d)\n%!"
-      (Rt.Policy.batch_to_string (Rt.Runtime.steal_policy rt))
-      (Rt.Runtime.worthy_threshold rt)
-  | None ->
-    Printf.printf "steal policy: %s (fixed)\n%!" (Rt.Policy.batch_to_string policy));
   let server =
     Rtnet.Server.create ~rt ~shards
       ~backlog:(min 4096 (max 128 max_clients))
@@ -607,22 +588,6 @@ let render_top j prev ~interval ~tty =
       (get_int "migrations" runtime)
       (get_int "abandoned" runtime)
       (if degraded then "  [DEGRADED]" else ""));
-  (* Older servers don't report the policy fields; skip the row then. *)
-  (match member "steal_policy" runtime with
-  | None -> ()
-  | Some p ->
-    let fixed =
-      Printf.sprintf "steal policy: %s, worthy threshold %d" (to_str p)
-        (get_int "worthy_threshold" runtime)
-    in
-    (match member "controller" j with
-    | None | Some Null -> Printf.printf "%s (fixed)\n" fixed
-    | Some c ->
-      Printf.printf
-        "%s (auto: %d ticks, %d up / %d down, pressure %+d, win p99 %s)\n" fixed
-        (get_int "ticks" c) (get_int "escalations" c) (get_int "deescalations" c)
-        (get_int "pressure" c)
-        (Mstd.Units.duration_ns (get_float "last_qwait_p99_ns" c))));
   let table =
     Mstd.Table.create
       ~headers:
@@ -1313,15 +1278,6 @@ let rt_cmd =
       in
       Arg.(value & opt (some int) None & info [ "admin-port" ] ~docv:"PORT" ~doc)
     in
-    let steal_policy =
-      let doc =
-        "Batch steal policy: $(b,one), $(b,two), $(b,half) (fixed), or \
-         $(b,auto) — start at $(b,one) and let the online controller re-tune \
-         the policy and the worthiness threshold from the streaming \
-         queue-wait windows (each /stats.json?swap=1 poll ticks it)."
-      in
-      Arg.(value & opt string "one" & info [ "steal-policy" ] ~docv:"POLICY" ~doc)
-    in
     Cmd.v
       (Cmd.info "serve"
          ~doc:
@@ -1332,7 +1288,7 @@ let rt_cmd =
         const run_rt_serve $ workers $ shards
         $ port ~default:8080 ~doc:"Port to listen on (0 = ephemeral)."
         $ max_clients $ serve_duration $ files $ file_bytes $ trace_out
-        $ admin_port $ steal_policy)
+        $ admin_port)
   in
   let top_cmd =
     let interval =

@@ -1,44 +1,3 @@
-(* Steal policies and the online controller that tunes them.
-
-   Everything in this module is pure bookkeeping: no clocks, no
-   randomness, no atomics. The runtime feeds the controller a [signal]
-   assembled from the telemetry plane's streaming windows and applies
-   the resulting (batch, threshold) pair to its own atomics — so the
-   controller's trajectory is a deterministic function of the signal
-   sequence, which is what the seeded simulation tests pin down. *)
-
-type batch = Steal_one | Steal_two | Steal_half
-
-let batch_to_string = function
-  | Steal_one -> "one"
-  | Steal_two -> "two"
-  | Steal_half -> "half"
-
-let batch_of_string = function
-  | "one" | "steal_one" -> Some Steal_one
-  | "two" | "steal_two" -> Some Steal_two
-  | "half" | "steal_half" -> Some Steal_half
-  | _ -> None
-
-(* How many color-queues a thief should try to claim from a victim
-   advertising [available] chained colors. Always at least 1: the
-   availability hint is racy, and probing costs the same either way. *)
-let want b ~available =
-  match b with
-  | Steal_one -> 1
-  | Steal_two -> 2
-  | Steal_half -> max 1 (available / 2)
-
-(* The policy lattice: escalation takes one rung at a time, so a single
-   hot window can never jump from conservative to maximal. *)
-let batch_up = function
-  | Steal_one -> Steal_two
-  | Steal_two | Steal_half -> Steal_half
-
-let batch_down = function
-  | Steal_half -> Steal_two
-  | Steal_two | Steal_one -> Steal_one
-
 (* Split a Treiber-stack image (newest first, as exchanged out of a
    worker's inbox) into up to [max_take] claimed elements and the rest.
    Claims go oldest-first — the colors the owner has waited longest to
@@ -46,8 +5,8 @@ let batch_down = function
    returned oldest-first (the order a thief should adopt them in), and
    [rest] newest-first (the order a single CAS can append back under
    any concurrently pushed entries). The pure core of the runtime's
-   batched inbox steal, factored out so the order-preservation
-   regression test needs no domains. *)
+   inbox steal, factored out so the order-preservation regression test
+   needs no domains. *)
 let split_stack ~newest_first ~max_take pred =
   let rec go claimed n rest = function
     | [] -> (List.rev claimed, rest)
@@ -55,139 +14,3 @@ let split_stack ~newest_first ~max_take pred =
     | x :: tl -> go claimed n (x :: rest) tl
   in
   go [] 0 [] (List.rev newest_first)
-
-module Controller = struct
-  type config = {
-    hi_qwait_ns : float;
-        (** a closed window whose queue-wait p99 exceeds this reads as
-            overload pressure *)
-    lo_qwait_ns : float;
-        (** below this the machine is coasting; the dead band between
-            the two trip points is what stops flip-flopping *)
-    hysteresis : int;
-        (** consecutive same-direction windows before any move *)
-    min_window_events : int;
-        (** windows with fewer samples are noise, not signal *)
-    threshold_floor : int;
-    threshold_ceiling : int;
-        (** [worthy_threshold] is clamped to [floor, ceiling]: the
-            floor keeps thieves from churning on near-empty colors (the
-            livelock bound), the ceiling keeps the runtime stealable *)
-  }
-
-  let default_config =
-    {
-      hi_qwait_ns = 200_000.0;
-      lo_qwait_ns = 20_000.0;
-      hysteresis = 2;
-      min_window_events = 32;
-      threshold_floor = 250;
-      threshold_ceiling = 64_000;
-    }
-
-  (* One closed telemetry window, merged across workers, plus the
-     cumulative steal counter — everything the decision reads. *)
-  type signal = {
-    sig_qwait_p99_ns : float;
-    sig_window_events : int;
-    sig_steals : int;
-  }
-
-  type snapshot = {
-    cs_batch : batch;
-    cs_threshold : int;
-    cs_ticks : int;
-    cs_escalations : int;
-    cs_deescalations : int;
-    cs_pressure : int;  (** signed streak: >0 toward escalation *)
-    cs_last_p99_ns : float;
-  }
-
-  type t = {
-    config : config;
-    mutable batch : batch;
-    mutable threshold : int;
-    mutable ticks : int;
-    mutable escalations : int;
-    mutable deescalations : int;
-    mutable pressure : int;
-    mutable last_p99 : float;
-  }
-
-  let create ?(config = default_config) ~batch ~threshold () =
-    if config.hysteresis < 1 then
-      invalid_arg "Rt.Policy.Controller.create: hysteresis must be >= 1";
-    if config.threshold_floor < 0 || config.threshold_ceiling < config.threshold_floor
-    then invalid_arg "Rt.Policy.Controller.create: need 0 <= floor <= ceiling";
-    let clamp v = min config.threshold_ceiling (max config.threshold_floor v) in
-    {
-      config;
-      batch;
-      threshold = clamp threshold;
-      ticks = 0;
-      escalations = 0;
-      deescalations = 0;
-      pressure = 0;
-      last_p99 = 0.0;
-    }
-
-  let batch t = t.batch
-  let threshold t = t.threshold
-
-  let snapshot t =
-    {
-      cs_batch = t.batch;
-      cs_threshold = t.threshold;
-      cs_ticks = t.ticks;
-      cs_escalations = t.escalations;
-      cs_deescalations = t.deescalations;
-      cs_pressure = t.pressure;
-      cs_last_p99_ns = t.last_p99;
-    }
-
-  (* Escalation halves the worthiness bar as it widens the batch: under
-     pressure the controller wants more colors stealable AND more of
-     them taken per probe. De-escalation walks both back. The clamps
-     plus one-rung moves plus the hysteresis streak bound oscillation:
-     a full swing needs [hysteresis] hot windows per rung, and the
-     threshold can never leave [floor, ceiling]. *)
-  let escalate t =
-    t.batch <- batch_up t.batch;
-    t.threshold <- max t.config.threshold_floor (t.threshold / 2);
-    t.escalations <- t.escalations + 1
-
-  let deescalate t =
-    t.batch <- batch_down t.batch;
-    t.threshold <- min t.config.threshold_ceiling (t.threshold * 2);
-    t.deescalations <- t.deescalations + 1
-
-  (* One decision per closed window. Deterministic in (state, signal):
-     no clock, no randomness — the simulation tests replay trajectories
-     and demand bit-equality. *)
-  let tick t (s : signal) =
-    t.ticks <- t.ticks + 1;
-    t.last_p99 <- s.sig_qwait_p99_ns;
-    let c = t.config in
-    if s.sig_window_events < c.min_window_events then
-      (* Too few samples to mean anything: decay the streak one step
-         toward neutral so stale pressure cannot trip a move later. *)
-      t.pressure <- (if t.pressure > 0 then t.pressure - 1
-                     else if t.pressure < 0 then t.pressure + 1
-                     else 0)
-    else if s.sig_qwait_p99_ns > c.hi_qwait_ns then
-      t.pressure <- (if t.pressure >= 0 then t.pressure + 1 else 1)
-    else if s.sig_qwait_p99_ns < c.lo_qwait_ns then
-      t.pressure <- (if t.pressure <= 0 then t.pressure - 1 else -1)
-    else
-      t.pressure <- (if t.pressure > 0 then t.pressure - 1
-                     else if t.pressure < 0 then t.pressure + 1
-                     else 0);
-    if t.pressure >= c.hysteresis then begin
-      escalate t;
-      t.pressure <- 0
-    end
-    else if t.pressure <= -c.hysteresis then begin
-      deescalate t;
-      t.pressure <- 0
-    end
-end

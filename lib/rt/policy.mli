@@ -1,38 +1,6 @@
-(** Pluggable steal policies and the online controller that tunes them.
-
-    The batch policy decides how many color-queues a thief claims per
-    successful probe; the controller re-tunes the batch policy and the
-    worthiness threshold from the telemetry plane's streaming
-    queue-wait windows.
-
-    Everything here is pure bookkeeping — no clocks, no randomness, no
-    atomics — so a controller's trajectory is a deterministic function
-    of the signal sequence it is fed. The runtime owns the atomics the
-    decisions are applied to. *)
-
-(** How many color-queues a thief claims per successful probe.
-    [Steal_one] is the classic Mely policy; [Steal_two] amortizes the
-    probe over a pair; [Steal_half] takes half the victim's advertised
-    backlog (Manticore's STEAL_HALF), rebalancing in O(log n) steals. *)
-type batch = Steal_one | Steal_two | Steal_half
-
-val batch_to_string : batch -> string
-(** ["one"], ["two"], ["half"]. *)
-
-val batch_of_string : string -> batch option
-(** Accepts the {!batch_to_string} forms and their [steal_] prefixed
-    spellings. *)
-
-val want : batch -> available:int -> int
-(** Queues to try to claim from a victim advertising [available]
-    chained colors. Always at least 1 — the hint is racy and the probe
-    is already paid for. *)
-
-val batch_up : batch -> batch
-(** One rung up the lattice: one → two → half (half stays half). *)
-
-val batch_down : batch -> batch
-(** One rung down: half → two → one (one stays one). *)
+(** The pure core of the runtime's inbox steal, factored out so its
+    order-preservation argument can be tested without domains. No
+    clocks, no randomness, no atomics. *)
 
 val split_stack :
   newest_first:'a list -> max_take:int -> ('a -> bool) -> 'a list * 'a list
@@ -40,63 +8,5 @@ val split_stack :
     image (newest first, as exchanged out of an inbox) into [(claimed,
     rest)]: up to [max_take] elements satisfying [pred], claimed
     oldest-first; [rest] keeps every other element newest-first, ready
-    to be appended under concurrent pushes with a single CAS. The pure
-    core of the runtime's batched inbox steal. *)
-
-(** The per-runtime online controller: one decision per closed
-    telemetry window, with hysteresis and clamped outputs so it can
-    never livelock the steal path. *)
-module Controller : sig
-  type config = {
-    hi_qwait_ns : float;
-        (** window queue-wait p99 above this counts as overload *)
-    lo_qwait_ns : float;
-        (** below this the machine is coasting; between the two trip
-            points is a dead band *)
-    hysteresis : int;
-        (** consecutive same-direction windows before any move
-            (>= 1) *)
-    min_window_events : int;
-        (** windows with fewer samples decay pressure instead of
-            adding to it *)
-    threshold_floor : int;
-        (** [worthy_threshold] never tuned below this — the livelock
-            bound: thieves cannot be made to churn on near-empty
-            colors *)
-    threshold_ceiling : int;  (** nor above this *)
-  }
-
-  val default_config : config
-
-  (** One closed window, merged across workers, plus the cumulative
-      steal count. *)
-  type signal = {
-    sig_qwait_p99_ns : float;
-    sig_window_events : int;
-    sig_steals : int;
-  }
-
-  type snapshot = {
-    cs_batch : batch;
-    cs_threshold : int;
-    cs_ticks : int;
-    cs_escalations : int;
-    cs_deescalations : int;
-    cs_pressure : int;  (** signed streak; >= hysteresis triggers *)
-    cs_last_p99_ns : float;
-  }
-
-  type t
-
-  val create : ?config:config -> batch:batch -> threshold:int -> unit -> t
-  (** Initial operating point; [threshold] is clamped into
-      [floor, ceiling]. Raises [Invalid_argument] on a config with
-      [hysteresis < 1] or [floor > ceiling]. *)
-
-  val tick : t -> signal -> unit
-  (** Consume one closed window. Deterministic in (state, signal). *)
-
-  val batch : t -> batch
-  val threshold : t -> int
-  val snapshot : t -> snapshot
-end
+    to be appended under concurrent pushes with a single CAS. The
+    runtime's thief calls it with [~max_take:1]. *)

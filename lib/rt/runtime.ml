@@ -110,18 +110,11 @@ type worker_state = {
           thieves claim mid-queue elements with one CAS. *)
   n_chained : int Atomic.t;
       (** Colors currently chained to this worker (inbox + deque +
-          in-flight hand-offs); the load hint thieves sort victims by. *)
+          in-flight hand-offs); a thief reads it to label an empty
+          probe. *)
   current_color : int Atomic.t;  (** color being drained; -1 = none *)
   mutable current : color_queue option;  (** owner-private *)
   mutable batch_remaining : int;  (** owner-private *)
-  mutable cached_most : int;  (** owner-private victim-order cache *)
-  mutable cached_victims : int list;
-  probe_cost : float array;
-      (** Per-victim probe-cost EWMA, ns. Owner-private: only this
-          worker probes with this array. 0.0 = never probed. *)
-  mutable probe_rounds : int;  (** steal rounds since creation; owner-private *)
-  mutable lat_victims : int list;
-      (** locality order re-ranked by probe cost; owner-private cache *)
   counters : Telemetry.counters;
       (** this slot's live telemetry counters; written only by the
           domain running the slot *)
@@ -148,17 +141,6 @@ type worker_state = {
   mutable q_since : int;  (** supervisor-private: quarantine request ns *)
 }
 
-type ws_config = {
-  enabled : bool;
-  locality : bool;
-  time_left : bool;
-  penalty : bool;
-  latency : bool;
-}
-
-let default_ws =
-  { enabled = true; locality = true; time_left = true; penalty = true; latency = true }
-
 type failure_policy = Swallow | Stop_runtime | Restart_worker
 
 (* Shutdown gate, monotonic within a serving epoch: [accepting] takes
@@ -183,19 +165,9 @@ type shard = { sh_lock : Spinlock.t; sh_tbl : (int, color_queue) Hashtbl.t }
 
 type t = {
   n : int;
-  ws : ws_config;
-  batch : int;
-  worthy_threshold : int Atomic.t;
-      (** The worthiness bar, tunable online by the controller; thieves
-          read it once per probe. *)
-  steal_policy : Policy.batch Atomic.t;
-      (** Batch policy in force; read once per probe, so a controller
-          move applies to the next probe without any hand-shake. *)
-  controller : (Policy.Controller.t * Mutex.t) option;
-      (** Online tuner, ticked from the telemetry window swap. The
-          mutex serializes ticks (any thread may drive the swap); the
-          hot path never touches it — workers see controller output
-          only through the two atomics above. *)
+  worthy_threshold : int;
+      (** remaining weighted cycles above which a color is worth
+          stealing (the time-left heuristic) *)
   states : worker_state array;
   victims : int list array;  (** per-worker locality victim order *)
   shards : shard array;
@@ -240,6 +212,10 @@ type t = {
 
 let default_color = 0
 
+(* Events an owner drains from one color before rotating it to the back
+   of its deque, so a long-running color cannot starve the others. *)
+let batch_threshold = 10
+
 (* Victim order for the locality heuristic (Section III-A): map the
    workers onto a xeon-shaped cache hierarchy — pairs share an L2, two
    pairs share a package — and probe nearest victims first, breaking
@@ -278,10 +254,8 @@ let phase_of_int = function
    plain int math. *)
 let now_int () = Int64.to_int (Clock.now_ns ())
 
-let create ?workers ?(ws = default_ws) ?(batch_threshold = 10)
-    ?(worthy_threshold = 2_000) ?(steal_policy = Policy.Steal_one) ?controller
-    ?(on_error = Swallow) ?trace ?(faults = Faults.passthrough)
-    ?(supervision = Supervision.default_config) () =
+let create ?workers ?(worthy_threshold = 2_000) ?(on_error = Swallow) ?trace
+    ?(faults = Faults.passthrough) ?(supervision = Supervision.default_config) () =
   let n =
     match workers with
     | Some n ->
@@ -291,30 +265,10 @@ let create ?workers ?(ws = default_ws) ?(batch_threshold = 10)
   in
   if worthy_threshold < 0 then
     invalid_arg "Rt.Runtime.create: worthy_threshold must be >= 0";
-  let controller =
-    Option.map
-      (fun config ->
-        ( Policy.Controller.create ~config ~batch:steal_policy
-            ~threshold:worthy_threshold (),
-          Mutex.create () ))
-      controller
-  in
-  (* With a controller, the clamped operating point is authoritative
-     from tick zero — start the atomics on it so the first snapshot
-     already agrees with the controller state. *)
-  let worthy_threshold =
-    match controller with
-    | Some (ctl, _) -> Policy.Controller.threshold ctl
-    | None -> worthy_threshold
-  in
   let telemetry = Telemetry.create ~workers:n in
   {
     n;
-    ws;
-    batch = batch_threshold;
-    worthy_threshold = Atomic.make worthy_threshold;
-    steal_policy = Atomic.make steal_policy;
-    controller;
+    worthy_threshold;
     states =
       Array.init n (fun w ->
           {
@@ -324,11 +278,6 @@ let create ?workers ?(ws = default_ws) ?(batch_threshold = 10)
             current_color = Atomic.make (-1);
             current = None;
             batch_remaining = 0;
-            cached_most = -1;
-            cached_victims = [];
-            probe_cost = Array.make n 0.0;
-            probe_rounds = 0;
-            lat_victims = [];
             counters = Telemetry.counters telemetry ~worker:w;
             busy_since = Atomic.make 0;
             hb_last = Atomic.make 0;
@@ -391,8 +340,9 @@ let handler _t ~name ?(declared_cycles = 1_000) ?(penalty = 1) () =
   if penalty < 1 then invalid_arg "Rt.Runtime.handler: penalty must be >= 1";
   { name; declared = declared_cycles; penalty }
 
-let weighted_of t h =
-  if t.ws.penalty then max 1 (h.declared / h.penalty) else max 1 h.declared
+(* Perceived remaining work of one event: declared cycles divided by
+   the handler's penalty (the penalty heuristic, Section III-C). *)
+let weighted_of h = max 1 (h.declared / h.penalty)
 
 let shard_of t color = t.shards.(color land (n_shards - 1))
 
@@ -468,7 +418,7 @@ let locate_locked t sh ?home color =
    event, the rest took the condvar round-trip for nothing. Liveness
    with a single signal relies on the relay in [worker_loop]: a woken
    worker that cannot consume the pending work itself (wrong owner,
-   stealing disabled, color unworthy) re-signals from its backoff loop,
+   color unworthy) re-signals from its backoff loop,
    so the chain reaches the worker that can. The parked count is only
    raised under [park_mutex], so taking the mutex here cannot race a
    worker into a missed sleep. *)
@@ -525,7 +475,7 @@ let publish t ~self ?home ?(wake = true) event =
   (* Plain add: serialized by the shard lock, raised before the event
      becomes poppable so the owner's [weighted_out] can never overtake
      it. *)
-  cq.weighted_in <- cq.weighted_in + weighted_of t event.ev_handler;
+  cq.weighted_in <- cq.weighted_in + weighted_of event.ev_handler;
   evq_push cq event;
   Spinlock.release sh.sh_lock;
   (* Hand-off: if the queue is idle (not current, not in any deque or
@@ -554,39 +504,51 @@ let publish t ~self ?home ?(wake = true) event =
   true
   end
 
-(* [pending] is raised BEFORE the event becomes poppable, so a worker
-   that pops immediately can never drive the counter negative — the
-   seed incremented it after the push, letting a sibling observe
-   [pending = -1] and declare quiescence mid-enqueue. The shutdown gate
-   is read only after the increment: if we saw [accepting], any worker
-   that later reads [pending] on its exit path also sees our increment
-   (SC atomics), so it cannot declare the drain finished under our
-   feet. *)
+(* Admission of [k] events through the shutdown gate. [pending] is
+   raised BEFORE any event becomes poppable, so a worker that pops
+   immediately can never drive the counter negative (a sibling would
+   otherwise observe [pending = -1] and declare quiescence mid-enqueue).
+   The gate is read only after the increment: if we saw [accepting],
+   any worker that later reads [pending] on its exit path also sees our
+   increment (SC atomics), so it cannot declare the drain finished
+   under our feet. [internal] follow-ups pass a draining gate; only an
+   abort refuses them. On refusal all [k] count as refused. *)
+let admit t ~internal k =
+  ignore (Atomic.fetch_and_add t.pending k);
+  let gate = Atomic.get t.shutdown in
+  if gate = aborted || (gate = draining && not internal) then begin
+    ignore (Atomic.fetch_and_add t.pending (-k));
+    ignore (Atomic.fetch_and_add t.refused k);
+    false
+  end
+  else true
+
+(* An admitted event refused at its queue: the color is poisoned. *)
+let refuse_admitted t =
+  Atomic.decr t.pending;
+  Atomic.incr t.refused
+
+(* The single-event path: no list, one gate decision, one wakeup. *)
 let enqueue t ~internal ~self ?home event =
   (* Always stamped: the telemetry plane's queue-wait histograms need
      it even when the flight recorder is off. *)
   event.ev_enq <- Clock.now_ns ();
-  Atomic.incr t.pending;
-  let gate = Atomic.get t.shutdown in
-  if gate = aborted || (gate = draining && not internal) then begin
-    Atomic.decr t.pending;
-    Atomic.incr t.refused;
-    false
-  end
-  else if publish t ~self ?home event then true
-  else begin
-    (* Poisoned color: accepted by the gate, refused at the queue. *)
-    Atomic.decr t.pending;
-    Atomic.incr t.refused;
-    false
-  end
+  admit t ~internal 1
+  && (publish t ~self ?home event || (refuse_admitted t; false))
 
 let make_event ~handler ~color run =
   { ev_handler = handler; ev_color = color; ev_run = run; ev_seq = 0; ev_enq = 0L }
 
-let try_register t ?(color = default_color) ?home ~handler run =
-  if color < 0 then invalid_arg "Rt.Runtime.try_register: color must be >= 0";
+(* [register] and [try_register] share one body; only the name in the
+   argument error differs. *)
+let try_register_as name t ?(color = default_color) ?home ~handler run =
+  if color < 0 then invalid_arg ("Rt.Runtime." ^ name ^ ": color must be >= 0");
   enqueue t ~internal:false ~self:(-1) ?home (make_event ~handler ~color run)
+
+let try_register t = try_register_as "try_register" t
+
+let register t ?color ~handler run =
+  ignore (try_register_as "register" t ?color ~handler run)
 
 (* Wake up to [k] parked workers with one mutex round-trip — the batch
    counterpart of [wake_parked]. Signaling more than [n] sleepers is
@@ -605,48 +567,33 @@ let wake_parked_n t k =
 (* Batched external injection: one shutdown-gate decision and one
    wakeup round-trip for the whole batch, instead of one per event —
    the per-event path is what a poller shard would otherwise pay once
-   per readiness on every epoll_wait return. All-or-nothing: either
-   every event is accepted (in list order, so per-color FIFO is
-   preserved) or the gate refuses the whole batch and each event counts
-   as refused. The [pending] increments still happen before the gate
-   read, so the no-abandon drain argument from [enqueue] carries over
-   unchanged. *)
+   per readiness on every epoll_wait return. All-or-nothing at the
+   gate: either every event is admitted (and published in list order,
+   so per-color FIFO is preserved) or the whole batch counts as
+   refused. *)
 let try_register_batch t ?home items =
   match items with
   | [] -> true
   | _ ->
-    let k = List.length items in
     List.iter
       (fun (color, _, _) ->
         if color < 0 then
           invalid_arg "Rt.Runtime.try_register_batch: color must be >= 0")
       items;
-    ignore (Atomic.fetch_and_add t.pending k);
-    let gate = Atomic.get t.shutdown in
-    if gate = aborted || gate = draining then begin
-      ignore (Atomic.fetch_and_add t.pending (-k));
-      ignore (Atomic.fetch_and_add t.refused k);
-      false
-    end
-    else begin
+    let k = List.length items in
+    admit t ~internal:false k
+    && begin
       List.iter
         (fun (color, handler, run) ->
           let event = make_event ~handler ~color run in
           event.ev_enq <- Clock.now_ns ();
-          if not (publish t ~self:(-1) ?home ~wake:false event) then begin
-            (* A poisoned color refuses its events individually; the
-               rest of the batch still lands. *)
-            Atomic.decr t.pending;
-            Atomic.incr t.refused
-          end)
+          (* A poisoned color refuses its events individually; the
+             rest of the batch still lands. *)
+          if not (publish t ~self:(-1) ?home ~wake:false event) then refuse_admitted t)
         items;
       wake_parked_n t k;
       true
     end
-
-let register t ?(color = default_color) ~handler run =
-  if color < 0 then invalid_arg "Rt.Runtime.register: color must be >= 0";
-  ignore (enqueue t ~internal:false ~self:(-1) (make_event ~handler ~color run))
 
 (* Handler follow-ups count as in-flight work: a draining [stop] lets
    them through so interrupted chains can finish, only an abort refuses
@@ -711,10 +658,10 @@ let drain_inbox ws =
    covers a rotated queue coming round again, or steal claim). The new
    owner reads the queue's length exactly here, so the high-water mark
    costs the publish path nothing. *)
-let make_current t ws cq =
+let make_current ws cq =
   ws.current <- Some cq;
   Atomic.set ws.current_color cq.color;
-  ws.batch_remaining <- t.batch;
+  ws.batch_remaining <- batch_threshold;
   let len = cq_len cq in
   if len > ws.counters.queue_hwm then ws.counters.queue_hwm <- len
 
@@ -739,7 +686,7 @@ let rec next_event t ws =
     else begin
       match evq_pop cq with
       | Some ev ->
-        cq.weighted_out <- cq.weighted_out + weighted_of t ev.ev_handler;
+        cq.weighted_out <- cq.weighted_out + weighted_of ev.ev_handler;
         ws.batch_remaining <- ws.batch_remaining - 1;
         Some (ev, cq)
       | None ->
@@ -751,7 +698,7 @@ let rec next_event t ws =
     match Spmc_queue.pop ws.deque with
     | Some cq ->
       Atomic.decr ws.n_chained;
-      make_current t ws cq;
+      make_current ws cq;
       next_event t ws
     | None -> None)
 
@@ -824,115 +771,34 @@ let execute t w ctx (cq : color_queue) event ~t0 =
   if !die_after then raise Worker_killed;
   t1
 
-(* Most-loaded-first victim order for the non-locality mode. The seed
-   rebuilt the [List.init]/[List.filter] on every probe round; now the
-   list is cached per worker and recomputed only when the most-loaded
-   hint actually moves. Owner-private fields: only worker [w] calls
-   this for itself. *)
-(* Latency-aware refinement of the locality order. Each worker keeps a
-   per-victim probe-cost EWMA (fed by [try_steal] from the same
-   timestamps the Visit spans carry): a winning probe is cheap at any
-   latency, an empty one wasted the whole round-trip — so the EWMA is
-   the expected cost of *useful* work from that victim. Ranking by raw
-   EWMA would let nanosecond noise reorder equally-near victims, so
-   costs are quantized to log2 buckets and the sort is stable on the
-   original locality position: within a cost magnitude the cache
-   topology still decides, and a victim must get ~2x worse (or better)
-   before it moves. Re-ranked every [rerank_interval] rounds —
-   owner-private state, no synchronization. *)
-let ewma_alpha = 0.125
-
-let rerank_interval = 64
-
-let probe_cost_update ws victim ~outcome ~dt_ns =
-  let weight =
-    match outcome with
-    | Trace.Won -> 0.25  (* a win amortizes its latency *)
-    | Trace.Empty -> 4.0  (* pure waste; also punishes always-empty victims *)
-    | Trace.Unworthy | Trace.Executing -> 1.0
-  in
-  let cost = weight *. Float.max 1.0 dt_ns in
-  let prev = ws.probe_cost.(victim) in
-  ws.probe_cost.(victim) <-
-    (if prev = 0.0 then cost else prev +. (ewma_alpha *. (cost -. prev)))
-
-let cost_bucket e =
-  if e <= 0.0 then 0 else int_of_float (Float.log2 (1.0 +. (e /. 1_000.0)))
-
-let latency_order t w ws =
-  if ws.lat_victims = [] || ws.probe_rounds mod rerank_interval = 0 then begin
-    let keyed =
-      List.mapi (fun i v -> (cost_bucket ws.probe_cost.(v), i, v)) t.victims.(w)
-    in
-    ws.lat_victims <-
-      List.map
-        (fun (_, _, v) -> v)
-        (List.sort
-           (fun (ba, ia, _) (bb, ib, _) -> compare (ba, ia) (bb, ib))
-           keyed)
-  end;
-  ws.lat_victims
-
-let victim_order t w =
-  if t.ws.locality then
-    if t.ws.latency then latency_order t w t.states.(w) else t.victims.(w)
-  else begin
-    let ws = t.states.(w) in
-    let most = ref 0 and best = ref (-1) in
-    for v = 0 to t.n - 1 do
-      let len = Atomic.get t.states.(v).n_chained in
-      if len > !best then begin
-        best := len;
-        most := v
-      end
-    done;
-    if !most <> ws.cached_most then begin
-      ws.cached_most <- !most;
-      ws.cached_victims <-
-        List.filter (fun v -> v <> w) (List.init t.n (fun i -> (!most + i) mod t.n))
-    end;
-    ws.cached_victims
-  end
-
-(* Steal one color-queue from [victim] into [w]; returns the visit
-   outcome ([Won] on success, otherwise why the victim yielded
-   nothing — the flight recorder and the [visits] counter make the
-   locality ordering auditable per probe, not just per round). No lock
-   is taken on either side: the claim is one CAS on the deque slot, and
-   that CAS is the ownership linearization point — the victim stopped
-   touching the queue when it pushed it (deque pushes happen only at
-   release/rotate, never while an event of the queue executes), so the
-   winner may immediately write [owner] and start draining. The queue
-   the victim is currently executing is never in the deque, so the
-   same-color exclusion invariant is structural, not lock-guarded (the
-   spinlock-era [Lock_busy] visit outcome is gone from [Trace] with the
-   lock it described). *)
+(* Queues a thief may pass over as unworthy in a victim's deque before
+   it gives up on the deque and looks at the victim's inbox instead. *)
 let steal_scan_budget = 16
 
-(* Claim up to [max_take] worthy queues out of the victim's inbox.
-   Without this, freshly published colors would be invisible to thieves
-   until the owner's next color switch moves them into its deque — on a
-   loaded owner that window is exactly when stealing matters. Taking
-   the whole Treiber stack is safe: the queues stay [chained]
-   throughout, and the owner cannot park meanwhile because their events
-   keep [pending] positive.
+(* Claim one worthy queue out of the victim's inbox. Without this,
+   freshly published colors would be invisible to thieves until the
+   owner's next color switch moves them into its deque — on a loaded
+   owner that window is exactly when stealing matters. Taking the whole
+   Treiber stack is safe: the queues stay [chained] throughout, and the
+   owner cannot park meanwhile because their events keep [pending]
+   positive. The claim is the oldest worthy queue, the color the owner
+   has waited longest to serve.
 
    The unclaimed rest goes back in ONE CAS, appended underneath
    whatever was pushed concurrently: the rest is older than any
    concurrent arrival (it was in the stack before our exchange), so
    [cur @ rest] keeps the stack newest-first as a whole AND preserves
-   the rest's internal order. The seed re-pushed one element at a time,
-   which let a concurrent push land *between* two restored queues and
-   shuffle their relative age — the order regression test pins this
-   down. *)
-let steal_inbox vs ~max_take pred =
+   the rest's internal order. Re-pushing one element at a time would
+   let a concurrent push land *between* two restored queues and shuffle
+   their relative age — the order regression test pins this down. *)
+let steal_inbox vs pred =
   match Atomic.get vs.inbox with
-  | [] -> []
+  | [] -> None
   | _ -> (
     match Atomic.exchange vs.inbox [] with
-    | [] -> []
+    | [] -> None
     | got ->
-      let claimed, rest = Policy.split_stack ~newest_first:got ~max_take pred in
+      let claimed, rest = Policy.split_stack ~newest_first:got ~max_take:1 pred in
       if rest <> [] then begin
         let rec restore () =
           let cur = Atomic.get vs.inbox in
@@ -940,82 +806,60 @@ let steal_inbox vs ~max_take pred =
         in
         restore ()
       end;
-      claimed)
+      List.nth_opt claimed 0)
 
-(* Returns the visit outcome plus how many queues the probe won. Under
-   a batch policy a winning probe claims up to [Policy.want] queues: a
-   contiguous worthy run of the victim's deque ([Spmc_queue.steal_many])
-   or the oldest worthy block of its inbox. The first claimed queue
-   becomes the thief's current directly (skipping the inbox/deque
-   round-trip, as with single steal); the rest land on the thief's OWN
-   deque — legal because the thief's domain is that deque's single
-   producer — where they are next in rotation and, being still
-   [chained], visible to second-order thieves for re-balancing.
-   Ownership writes happen before the deque pushes, so any second thief
-   that claims one synchronizes after our [owner] store. *)
+(* Steal one color-queue from [victim] into [w] (the Mely thief: one
+   queue per winning probe); returns the visit outcome — [Won] on
+   success, otherwise why the victim yielded nothing. A queue is worthy
+   when its remaining weighted cycles exceed the threshold (time-left,
+   with the penalty already folded into the weights); plain reads of
+   the weighted pair suffice, a stale value only mis-ranks a candidate.
+   No lock is taken on either side: the claim is one CAS on the deque
+   slot (or the inbox exchange), and that is the ownership
+   linearization point — the victim stopped touching the queue when it
+   chained it, so the winner may immediately write [owner] and start
+   draining. The claimed queue becomes the thief's current directly,
+   with no inbox/deque round-trip. The queue the victim is currently
+   executing is never in its deque or inbox, so the same-color
+   exclusion invariant is structural, not lock-guarded. *)
 let steal_from t w victim =
   let vs = t.states.(victim) in
-  let ws = t.states.(w) in
-  let threshold = Atomic.get t.worthy_threshold in
-  (* Plain reads of the weighted pair: worthiness is a heuristic, a
-     stale value only mis-ranks a candidate, never breaks safety. *)
-  let worthy cq =
-    (not t.ws.time_left) || cq.weighted_in - cq.weighted_out > threshold
-  in
-  let max_take =
-    Policy.want (Atomic.get t.steal_policy) ~available:(Atomic.get vs.n_chained)
-  in
+  let worthy cq = cq.weighted_in - cq.weighted_out > t.worthy_threshold in
   let claimed =
-    match Spmc_queue.steal_many vs.deque ~budget:steal_scan_budget ~max_take worthy with
-    | [] -> steal_inbox vs ~max_take worthy
-    | run -> run
+    match Spmc_queue.steal vs.deque ~budget:steal_scan_budget worthy with
+    | None -> steal_inbox vs worthy
+    | found -> found
   in
   match claimed with
-  | [] ->
-    let outcome =
-      if Atomic.get vs.n_chained <= 0 then
-        if Atomic.get vs.current_color >= 0 then Trace.Executing else Trace.Empty
-      else Trace.Unworthy
-    in
-    (outcome, 0)
-  | first :: extra ->
-    let k = List.length claimed in
-    ignore (Atomic.fetch_and_add vs.n_chained (-k));
-    List.iter (fun cq -> Atomic.set cq.owner w) claimed;
-    make_current t ws first;
-    List.iter
-      (fun cq ->
-        Atomic.incr ws.n_chained;
-        Spmc_queue.push ws.deque cq)
-      extra;
-    Telemetry.on_steal t.telemetry ~thief:w ~victim ~count:k;
-    (Trace.Won, k)
+  | None ->
+    if Atomic.get vs.n_chained <= 0 then
+      if Atomic.get vs.current_color >= 0 then Trace.Executing else Trace.Empty
+    else Trace.Unworthy
+  | Some cq ->
+    Atomic.decr vs.n_chained;
+    Atomic.set cq.owner w;
+    make_current t.states.(w) cq;
+    Telemetry.on_steal t.telemetry ~thief:w ~victim;
+    Trace.Won
 
+(* One steal round: probe victims in the fixed locality order until one
+   yields a queue. The per-visit counter and (when tracing) the Visit
+   span make the ordering auditable per probe; with tracing off the
+   round reads no clock. *)
 let try_steal t w =
-  let ws = t.states.(w) in
-  let c = ws.counters in
+  let c = t.states.(w).counters in
   c.steal_rounds <- c.steal_rounds + 1;
-  ws.probe_rounds <- ws.probe_rounds + 1;
-  (* One clock read per probe feeds both the Visit span and the
-     probe-cost EWMA; skipped entirely when neither consumer is on. *)
-  let timing = (t.ws.locality && t.ws.latency) || t.trace <> None in
   let rec visit = function
     | [] -> false
-    | victim :: rest ->
-      let t0 = if timing then Clock.now_ns () else 0L in
-      let outcome, won_count = steal_from t w victim in
+    | victim :: rest -> (
+      let outcome = steal_from t w victim in
       c.visits <- c.visits + 1;
-      let t1 = if timing then Clock.now_ns () else 0L in
-      if t.ws.locality && t.ws.latency then
-        probe_cost_update ws victim ~outcome
-          ~dt_ns:(Int64.to_float (Int64.sub t1 t0));
       (match t.trace with
-      | Some tr ->
-        Trace.record_visit tr ~worker:w ~victim ~outcome ~claimed:won_count ~ns:t1
+      | Some tr -> Trace.record_visit tr ~worker:w ~victim ~outcome ~ns:(Clock.now_ns ())
       | None -> ());
-      (match outcome with Trace.Won -> true | _ -> visit rest)
+      match outcome with Trace.Won -> true | _ -> visit rest)
   in
-  let won = visit (victim_order t w) in
+  let won = visit t.victims.(w) in
   if not won then c.failed_attempts <- c.failed_attempts + 1;
   won
 
@@ -1148,7 +992,7 @@ let worker_loop t w =
         end;
         loop 1
       | None ->
-        if t.ws.enabled && Atomic.get t.pending > 0 && try_steal t w then loop 1
+        if Atomic.get t.pending > 0 && try_steal t w then loop 1
         else if Atomic.get t.pending > 0 then begin
           (* Work exists but is not (yet) stealable: bounded backoff.
              Relay the single-signal wakeup while we spin — if we were
@@ -1580,62 +1424,6 @@ let inject_worker_death t w =
   Atomic.set t.states.(w).kill_flag true;
   broadcast_all t
 
-let steal_policy t = Atomic.get t.steal_policy
-let worthy_threshold t = Atomic.get t.worthy_threshold
-
-let controller_snapshot t =
-  Option.map
-    (fun (ctl, lock) ->
-      Mutex.lock lock;
-      let s = Policy.Controller.snapshot ctl in
-      Mutex.unlock lock;
-      s)
-    t.controller
-
-(* One controller decision from the just-closed telemetry window: merge
-   the per-worker window histograms, tick, publish the new operating
-   point through the two atomics. Callers must have swapped the window
-   first. The ctl mutex serializes concurrent scrapers; workers never
-   take it. *)
-let apply_controller t =
-  match t.controller with
-  | None -> ()
-  | Some (ctl, lock) ->
-    let merged = ref None in
-    for w = 0 to t.n - 1 do
-      let s = Telemetry.sample t.telemetry ~worker:w in
-      match !merged with
-      | None -> merged := Some (Mstd.Histogram.copy s.Telemetry.qwait_win)
-      | Some into -> Mstd.Histogram.merge ~into s.Telemetry.qwait_win
-    done;
-    let signal =
-      match !merged with
-      | None ->
-        {
-          Policy.Controller.sig_qwait_p99_ns = 0.0;
-          sig_window_events = 0;
-          sig_steals = steals t;
-        }
-      | Some h ->
-        {
-          Policy.Controller.sig_qwait_p99_ns = Mstd.Histogram.quantile h 0.99;
-          sig_window_events = Mstd.Histogram.count h;
-          sig_steals = steals t;
-        }
-    in
-    Mutex.lock lock;
-    Policy.Controller.tick ctl signal;
-    Atomic.set t.steal_policy (Policy.Controller.batch ctl);
-    Atomic.set t.worthy_threshold (Policy.Controller.threshold ctl);
-    Mutex.unlock lock
-
-(* Close the current streaming window and let the controller consume
-   it — the driver for benches and embedders that do not go through
-   [telemetry_snapshot ~swap_window:true]. *)
-let tick_controller t =
-  Telemetry.swap_window t.telemetry;
-  apply_controller t
-
 let pending t = Atomic.get t.pending
 let refused t = Atomic.get t.refused
 let is_serving t = Atomic.get t.serving
@@ -1756,13 +1544,7 @@ let telemetry t = t.telemetry
    streaming windows are rotated first, so the returned window
    histograms cover the interval since the previous swap. *)
 let telemetry_snapshot ?(swap_window = false) t =
-  if swap_window then begin
-    Telemetry.swap_window t.telemetry;
-    (* The epoch swap is the controller's clock: whoever closes a
-       window hands it to the tuner, so a periodic scraper (the admin
-       plane's /stats.json?swap=1) drives adaptation for free. *)
-    apply_controller t
-  end;
+  if swap_window then Telemetry.swap_window t.telemetry;
   let snap_now = now_int () in
   let samples = Array.init t.n (fun w -> Telemetry.sample t.telemetry ~worker:w) in
   let steals_out = Array.make t.n 0 in
@@ -1805,9 +1587,7 @@ let telemetry_snapshot ?(swap_window = false) t =
     s_errors = sum (fun c -> c.errors);
     s_serving = Atomic.get t.serving;
     s_accepting = Atomic.get t.shutdown = accepting;
-    s_steal_policy = Atomic.get t.steal_policy;
-    s_worthy_threshold = Atomic.get t.worthy_threshold;
-    s_controller = controller_snapshot t;
+    s_worthy_threshold = t.worthy_threshold;
     s_live_workers = live_workers t;
     s_degraded = Atomic.get t.degraded;
     s_restarts = Atomic.get t.restart_count;

@@ -73,26 +73,9 @@ type ctx = {
           serial color 0 *)
 }
 
-type ws_config = {
-  enabled : bool;
-  locality : bool;  (** visit victims in sibling order *)
-  time_left : bool;  (** steal only worthy colors *)
-  penalty : bool;  (** divide perceived time by handler penalties *)
-  latency : bool;
-      (** fold per-victim probe-cost EWMAs into the locality order so
-          distant / always-empty victims are probed last (only
-          meaningful with [locality]) *)
-}
-
-val default_ws : ws_config
-
 val create :
   ?workers:int ->
-  ?ws:ws_config ->
-  ?batch_threshold:int ->
   ?worthy_threshold:int ->
-  ?steal_policy:Policy.batch ->
-  ?controller:Policy.Controller.config ->
   ?on_error:failure_policy ->
   ?trace:Trace.config ->
   ?faults:Faults.t ->
@@ -100,20 +83,13 @@ val create :
   unit ->
   t
 (** [workers] defaults to [Domain.recommended_domain_count () - 1],
-    at least 1. [worthy_threshold] (default [2_000], must be >= 0) is
-    the remaining weighted declared-cycle budget above which a color
-    lands on the stealing list — the unit is declared cycles as given
-    to {!handler}, already divided by the penalty when that heuristic
-    is on. [steal_policy] (default {!Policy.Steal_one}) is the initial
-    batch policy: how many color-queues a thief claims per winning
-    probe. [controller] enables the online tuner: each telemetry window
-    swap ({!telemetry_snapshot} with [swap_window], or
-    {!tick_controller}) feeds the closed queue-wait window to a
-    {!Policy.Controller} that re-tunes the batch policy and the
-    worthiness threshold; without it both stay at their creation
-    values. With a controller the initial [worthy_threshold] is clamped
-    into the config's floor/ceiling. [on_error] (default [Swallow]) is
-    the handler-failure policy. [trace] enables the {!Trace} flight
+    at least 1. The steal decision is fixed: an idle worker probes
+    victims in {!Hw.Topology} locality order (nearest cache first) and
+    claims one color-queue per winning probe, taking only a queue whose
+    remaining weighted declared cycles exceed [worthy_threshold]
+    (default [2_000], must be >= 0) — declared cycles as given to
+    {!handler}, divided by its penalty. [on_error] (default [Swallow])
+    is the handler-failure policy. [trace] enables the {!Trace} flight
     recorder for the lifetime of the runtime (per-worker span rings,
     optional latency histograms); omitted, recording is compiled in but
     skipped behind one branch per event. [faults] (default
@@ -243,24 +219,6 @@ val worker_phase : t -> int -> Supervision.phase
 val executed : t -> int
 val steals : t -> int
 val steal_attempts : t -> int
-
-val steal_policy : t -> Policy.batch
-(** Batch policy currently in force (the creation value, or the
-    controller's latest choice). *)
-
-val worthy_threshold : t -> int
-(** Worthiness bar currently in force. *)
-
-val controller_snapshot : t -> Policy.Controller.snapshot option
-(** State of the online tuner; [None] when {!create} got no
-    [controller]. *)
-
-val tick_controller : t -> unit
-(** Close the current telemetry window and let the controller consume
-    it (no-op tuning without a controller, but the window still
-    swaps). Equivalent to the swap performed by
-    [telemetry_snapshot ~swap_window:true] without building a
-    snapshot; call it from exactly one periodic driver. *)
 
 val pending : t -> int
 (** Accepted events not yet executed. Never negative; [0] after a

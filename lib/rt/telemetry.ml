@@ -109,13 +109,11 @@ let on_exec t ~worker ~qwait_ns ~service_ns =
 
 (* Called by the thief; it writes its own matrix row and counters, so
    the matrix is single-writer per row like everything else in the
-   shard. [count] is the number of color-queues the probe won (> 1
-   under batch steal). *)
-let on_steal t ~thief ~victim ~count =
+   shard. A winning probe claims exactly one color-queue. *)
+let on_steal t ~thief ~victim =
   let s = t.shards.(thief) in
-  s.steals_from.(victim) <- s.steals_from.(victim) + count;
-  s.c.steals_in <- s.c.steals_in + count;
-  s.c.batch_extra <- s.c.batch_extra + (count - 1)
+  s.steals_from.(victim) <- s.steals_from.(victim) + 1;
+  s.c.steals_in <- s.c.steals_in + 1
 
 type sample = {
   counters : counters;
@@ -181,10 +179,7 @@ type snapshot = {
   s_errors : int;
   s_serving : bool;
   s_accepting : bool;  (** shutdown gate open (false once draining) *)
-  s_steal_policy : Policy.batch;  (** batch policy in force at snapshot *)
-  s_worthy_threshold : int;  (** worthiness bar in force at snapshot *)
-  s_controller : Policy.Controller.snapshot option;
-      (** [None] when the runtime was created without a controller *)
+  s_worthy_threshold : int;  (** worthiness bar set at creation *)
   s_live_workers : int;  (** slots with a running worker domain *)
   s_degraded : bool;
       (** some slot is terminally lost (breaker tripped or a wedged

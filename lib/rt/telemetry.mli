@@ -34,9 +34,10 @@ type counters = {
       (** color-queues stolen from this worker: derived at snapshot
           time from the steal matrix's column; the live record keeps 0 *)
   mutable batch_extra : int;
-      (** color-queues this worker claimed beyond the first in batch
-          steals — [steals_in - batch_extra] is the number of winning
-          probes, so this is exactly what the batch policy saved *)
+      (** color-queues claimed beyond the first in one winning probe.
+          Always 0: a probe claims exactly one queue, so [steals_in] is
+          the number of winning probes. Kept so readers of
+          [steals_in - batch_extra] stay valid. *)
   mutable steal_rounds : int;  (** steal rounds this worker started *)
   mutable failed_attempts : int;  (** steal rounds that found no victim *)
   mutable visits : int;
@@ -79,11 +80,10 @@ val on_exec : t -> worker:int -> qwait_ns:int -> service_ns:int -> unit
     (enqueue to start of run) and service time. Must be called by
     worker [worker]'s own domain. *)
 
-val on_steal : t -> thief:int -> victim:int -> count:int -> unit
-(** Record a won steal of [count] color-queues: the worker×victim
-    matrix cell, [steals_in] and [batch_extra] ([count > 1] under a
-    batch policy). Must be called by the thief's domain (each row is
-    single-writer). *)
+val on_steal : t -> thief:int -> victim:int -> unit
+(** Record a won steal of one color-queue: the worker×victim matrix
+    cell and [steals_in]. Must be called by the thief's domain (each
+    row is single-writer). *)
 
 (** Racy-read-safe copies of one worker's shard. *)
 type sample = {
@@ -145,10 +145,7 @@ type snapshot = {
   s_errors : int;
   s_serving : bool;
   s_accepting : bool;  (** shutdown gate open (false once draining) *)
-  s_steal_policy : Policy.batch;  (** batch policy in force at snapshot *)
-  s_worthy_threshold : int;  (** worthiness bar in force at snapshot *)
-  s_controller : Policy.Controller.snapshot option;
-      (** [None] when the runtime was created without a controller *)
+  s_worthy_threshold : int;  (** worthiness bar set at {!Runtime.create} *)
   s_live_workers : int;  (** slots with a running worker domain *)
   s_degraded : bool;
       (** some slot is terminally lost (breaker tripped or a wedged

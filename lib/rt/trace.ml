@@ -40,7 +40,6 @@ type span =
   | Visit of {
       v_victim : int;
       v_outcome : visit_outcome;
-      v_claimed : int;  (** color-queues won by this probe (batch steal) *)
       v_ns : int64;
     }
   | Park of { p_start : int64; p_end : int64 }
@@ -140,9 +139,9 @@ let record_exec t ~worker ~handler ~color ~seq ~enq_ns ~start_ns ~end_ns =
     Mstd.Histogram.add l.service (Int64.to_float (Int64.sub end_ns start_ns))
   end
 
-let record_visit t ~worker ~victim ~outcome ~claimed ~ns =
+let record_visit t ~worker ~victim ~outcome ~ns =
   push t.recorders.(worker).ring
-    (Visit { v_victim = victim; v_outcome = outcome; v_claimed = claimed; v_ns = ns })
+    (Visit { v_victim = victim; v_outcome = outcome; v_ns = ns })
 
 let record_park t ~worker ~start_ns ~end_ns =
   push t.recorders.(worker).ring (Park { p_start = start_ns; p_end = end_ns })
@@ -354,10 +353,8 @@ let export_chrome ?(pid = 0) t =
             emit
               (Printf.sprintf
                  "{\"name\":\"steal:%s\",\"cat\":\"steal\",\"ph\":\"i\",\"s\":\"t\",\
-                  \"ts\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":{\"victim\":%d,\
-                  \"claimed\":%d}}"
-                 (visit_outcome_name v.v_outcome) (us v.v_ns) pid w v.v_victim
-                 v.v_claimed)
+                  \"ts\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":{\"victim\":%d}}"
+                 (visit_outcome_name v.v_outcome) (us v.v_ns) pid w v.v_victim)
           | Park p ->
             emit
               (Printf.sprintf

@@ -39,9 +39,6 @@ type span =
   | Visit of {
       v_victim : int;
       v_outcome : visit_outcome;
-      v_claimed : int;
-          (** color-queues won by this probe: 0 unless [Won], and > 1
-              only under a batch steal policy *)
       v_ns : int64;
     }
   | Park of { p_start : int64; p_end : int64 }
@@ -93,7 +90,7 @@ val record_exec :
   unit
 
 val record_visit :
-  t -> worker:int -> victim:int -> outcome:visit_outcome -> claimed:int -> ns:int64 -> unit
+  t -> worker:int -> victim:int -> outcome:visit_outcome -> ns:int64 -> unit
 val record_park : t -> worker:int -> start_ns:int64 -> end_ns:int64 -> unit
 val record_start : t -> worker:int -> ns:int64 -> unit
 val record_shed : t -> worker:int -> color:int -> ns:int64 -> unit

@@ -79,28 +79,8 @@ let metrics_text (rt : Rt.Telemetry.snapshot) (net : net) =
   gauge ~name:"mely_telemetry_epoch" ~help:"Streaming-window epoch"
     (float_of_int rt.s_epoch);
   gauge ~name:"mely_runtime_worthy_threshold"
-    ~help:"Steal-worthiness bar in force (weighted declared cycles)"
+    ~help:"Steal-worthiness bar (weighted declared cycles)"
     (float_of_int rt.s_worthy_threshold);
-  gauge ~name:"mely_runtime_steal_batch"
-    ~help:"Batch steal policy in force: 1=one, 2=two, 3=half"
-    (match rt.s_steal_policy with
-    | Rt.Policy.Steal_one -> 1.0
-    | Rt.Policy.Steal_two -> 2.0
-    | Rt.Policy.Steal_half -> 3.0);
-  (match rt.s_controller with
-  | None -> ()
-  | Some c ->
-    counter ~name:"mely_controller_ticks_total"
-      ~help:"Telemetry windows consumed by the steal controller"
-      c.Rt.Policy.Controller.cs_ticks;
-    counter ~name:"mely_controller_escalations_total"
-      ~help:"Controller moves up the policy lattice" c.cs_escalations;
-    counter ~name:"mely_controller_deescalations_total"
-      ~help:"Controller moves down the policy lattice" c.cs_deescalations;
-    gauge ~name:"mely_controller_pressure"
-      ~help:"Signed same-direction window streak" (float_of_int c.cs_pressure);
-    gauge ~name:"mely_controller_last_qwait_p99_ns"
-      ~help:"Queue-wait p99 of the last consumed window" c.cs_last_p99_ns);
   (* Per-worker series. *)
   Array.iter
     (fun (w : Rt.Telemetry.worker_snap) ->
@@ -319,7 +299,6 @@ let stats_json (rt : Rt.Telemetry.snapshot) (net : net) =
                ("errors", int rt.s_errors);
                ("serving", Bool rt.s_serving);
                ("accepting", Bool rt.s_accepting);
-               ("steal_policy", Str (Rt.Policy.batch_to_string rt.s_steal_policy));
                ("worthy_threshold", int rt.s_worthy_threshold);
                ("live_workers", int rt.s_live_workers);
                ("degraded", Bool rt.s_degraded);
@@ -328,22 +307,6 @@ let stats_json (rt : Rt.Telemetry.snapshot) (net : net) =
                ("reclaimed", int rt.s_reclaimed);
                ("abandoned", int rt.s_abandoned);
              ] );
-         ( "controller",
-           match rt.s_controller with
-           | None -> Null
-           | Some c ->
-             Obj
-               [
-                 ( "batch",
-                   Str (Rt.Policy.batch_to_string c.Rt.Policy.Controller.cs_batch)
-                 );
-                 ("threshold", int c.cs_threshold);
-                 ("ticks", int c.cs_ticks);
-                 ("escalations", int c.cs_escalations);
-                 ("deescalations", int c.cs_deescalations);
-                 ("pressure", int c.cs_pressure);
-                 ("last_qwait_p99_ns", Num c.cs_last_p99_ns);
-               ] );
          ("workers", List (Array.to_list (Array.map worker_json rt.s_workers)));
          ( "net",
            Obj

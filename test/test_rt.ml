@@ -93,21 +93,6 @@ let test_stealing_happens () =
   let busy_workers = Array.fold_left (fun n b -> if b then n + 1 else n) 0 workers_seen in
   Alcotest.(check bool) "work spread beyond the home worker" true (busy_workers >= 2)
 
-let test_ws_disabled_stays_home () =
-  let ws = { Rt.Runtime.default_ws with enabled = false } in
-  let rt = Rt.Runtime.create ~workers:3 ~ws () in
-  let h = Rt.Runtime.handler rt ~name:"pinned" () in
-  let wrong = Atomic.make 0 in
-  for i = 0 to 30 do
-    let color = 1 + (3 * i) in
-    (* color mod 3 = 1: everything belongs to worker 1. *)
-    Rt.Runtime.register rt ~color ~handler:h (fun ctx ->
-        if ctx.Rt.Runtime.worker <> 1 then Atomic.incr wrong)
-  done;
-  Rt.Runtime.run_until_idle rt;
-  Alcotest.(check int) "no migration without ws" 0 (Atomic.get wrong);
-  Alcotest.(check int) "no steals" 0 (Rt.Runtime.steals rt)
-
 let test_rerun () =
   let rt = Rt.Runtime.create ~workers:2 () in
   let h = Rt.Runtime.handler rt ~name:"again" () in
@@ -218,7 +203,6 @@ let suite =
       test_mutual_exclusion_parallel;
     Alcotest.test_case "per-color fifo" `Quick test_per_color_fifo;
     Alcotest.test_case "stealing happens" `Quick test_stealing_happens;
-    Alcotest.test_case "ws disabled stays home" `Quick test_ws_disabled_stays_home;
     Alcotest.test_case "rerun" `Quick test_rerun;
     Alcotest.test_case "invalid args" `Quick test_invalid_args;
     Alcotest.test_case "worthy threshold param" `Quick test_worthy_threshold_param;

@@ -1,48 +1,14 @@
-(* The steal-policy layer without domains: batch sizing, the inbox
-   split, and the online controller. The controller is pure bookkeeping
-   (no clocks, no randomness), so its trajectory under a seeded
-   virtual-backlog simulation must be a bit-identical function of the
-   seed — that determinism is what these tests pin down, alongside the
-   hysteresis / dead-band / clamping behavior one window at a time. *)
+(* The inbox split without domains: [Rt.Policy.split_stack] is the
+   pure core of the thief's inbox steal. *)
 
 module P = Rt.Policy
-module C = Rt.Policy.Controller
 
-let batch = Alcotest.testable (Fmt.of_to_string P.batch_to_string) ( = )
-
-let test_want () =
-  Alcotest.(check int) "one" 1 (P.want P.Steal_one ~available:10);
-  Alcotest.(check int) "two" 2 (P.want P.Steal_two ~available:10);
-  Alcotest.(check int) "half of 10" 5 (P.want P.Steal_half ~available:10);
-  Alcotest.(check int) "half of 3" 1 (P.want P.Steal_half ~available:3);
-  (* The availability hint is racy; a probe always asks for >= 1. *)
-  Alcotest.(check int) "half of 1" 1 (P.want P.Steal_half ~available:1);
-  Alcotest.(check int) "half of 0" 1 (P.want P.Steal_half ~available:0)
-
-let test_lattice () =
-  Alcotest.check batch "one up" P.Steal_two (P.batch_up P.Steal_one);
-  Alcotest.check batch "two up" P.Steal_half (P.batch_up P.Steal_two);
-  Alcotest.check batch "half saturates" P.Steal_half (P.batch_up P.Steal_half);
-  Alcotest.check batch "half down" P.Steal_two (P.batch_down P.Steal_half);
-  Alcotest.check batch "two down" P.Steal_one (P.batch_down P.Steal_two);
-  Alcotest.check batch "one saturates" P.Steal_one (P.batch_down P.Steal_one);
-  List.iter
-    (fun b ->
-      Alcotest.(check (option batch))
-        "string round-trip" (Some b)
-        (P.batch_of_string (P.batch_to_string b)))
-    [ P.Steal_one; P.Steal_two; P.Steal_half ];
-  Alcotest.(check (option batch))
-    "prefixed spelling" (Some P.Steal_half)
-    (P.batch_of_string "steal_half");
-  Alcotest.(check (option batch)) "garbage" None (P.batch_of_string "all")
-
-(* The pure core of the batched inbox steal. The regression this locks
-   down: when the inbox holds more than one worthy queue, the claimed
-   prefix comes out oldest-first and the unclaimed rest keeps its
-   newest-first stack order — so the single-CAS re-push preserves the
-   relative age of everything it returns, instead of reversing it the
-   way one-at-a-time re-pushes did. *)
+(* The regression this locks down: when the inbox holds more than one
+   worthy queue, the claimed prefix comes out oldest-first and the
+   unclaimed rest keeps its newest-first stack order — so the
+   single-CAS re-push preserves the relative age of everything it
+   returns, instead of reversing it the way one-at-a-time re-pushes
+   did. *)
 let test_split_stack () =
   (* Stack image of pushes 1,2,3,4,5: newest first. *)
   let stack = [ 5; 4; 3; 2; 1 ] in
@@ -68,177 +34,5 @@ let test_split_stack () =
   Alcotest.(check (list int)) "max_take 0 claims nothing" [] claimed;
   Alcotest.(check (list int)) "and the image survives intact" stack rest
 
-let test_controller_validation () =
-  Alcotest.check_raises "hysteresis 0"
-    (Invalid_argument "Rt.Policy.Controller.create: hysteresis must be >= 1")
-    (fun () ->
-      ignore
-        (C.create
-           ~config:{ C.default_config with hysteresis = 0 }
-           ~batch:P.Steal_one ~threshold:100 ()));
-  Alcotest.check_raises "floor above ceiling"
-    (Invalid_argument "Rt.Policy.Controller.create: need 0 <= floor <= ceiling")
-    (fun () ->
-      ignore
-        (C.create
-           ~config:
-             { C.default_config with threshold_floor = 10; threshold_ceiling = 5 }
-           ~batch:P.Steal_one ~threshold:100 ()));
-  let ctl = C.create ~batch:P.Steal_one ~threshold:1 () in
-  Alcotest.(check int)
-    "initial threshold clamped to floor" C.default_config.threshold_floor
-    (C.threshold ctl)
-
-let hot =
-  { C.sig_qwait_p99_ns = 1_000_000.0; sig_window_events = 500; sig_steals = 0 }
-
-let cold =
-  { C.sig_qwait_p99_ns = 1_000.0; sig_window_events = 500; sig_steals = 0 }
-
-let dead_band =
-  { C.sig_qwait_p99_ns = 100_000.0; sig_window_events = 500; sig_steals = 0 }
-
-let noise =
-  { C.sig_qwait_p99_ns = 1_000_000.0; sig_window_events = 3; sig_steals = 0 }
-
-let test_controller_hysteresis () =
-  let ctl = C.create ~batch:P.Steal_one ~threshold:2_000 () in
-  (* default hysteresis is 2: one hot window builds pressure, no move *)
-  C.tick ctl hot;
-  Alcotest.check batch "one hot window: no move" P.Steal_one (C.batch ctl);
-  Alcotest.(check int) "pressure 1" 1 (C.snapshot ctl).cs_pressure;
-  (* the second consecutive hot window escalates and halves the bar *)
-  C.tick ctl hot;
-  Alcotest.check batch "second trips escalation" P.Steal_two (C.batch ctl);
-  Alcotest.(check int) "threshold halved" 1_000 (C.threshold ctl);
-  Alcotest.(check int) "pressure reset" 0 (C.snapshot ctl).cs_pressure;
-  (* a dead-band window decays a fresh streak instead of extending it *)
-  C.tick ctl hot;
-  C.tick ctl dead_band;
-  C.tick ctl hot;
-  Alcotest.check batch "dead band broke the streak" P.Steal_two (C.batch ctl);
-  (* an under-sampled window decays pressure too, even with a hot p99 *)
-  C.tick ctl noise;
-  Alcotest.(check int) "noise window decays" 0 (C.snapshot ctl).cs_pressure;
-  Alcotest.check batch "still two" P.Steal_two (C.batch ctl);
-  (* escalations clamp at the floor and saturate at Steal_half *)
-  for _ = 1 to 10 do
-    C.tick ctl hot
-  done;
-  Alcotest.check batch "saturates at half" P.Steal_half (C.batch ctl);
-  Alcotest.(check int)
-    "threshold clamped at floor" C.default_config.threshold_floor
-    (C.threshold ctl);
-  (* a cold streak walks back down and the threshold doubles, clamped *)
-  for _ = 1 to 40 do
-    C.tick ctl cold
-  done;
-  Alcotest.check batch "coasting returns to one" P.Steal_one (C.batch ctl);
-  Alcotest.(check int)
-    "threshold clamped at ceiling" C.default_config.threshold_ceiling
-    (C.threshold ctl);
-  let s = C.snapshot ctl in
-  Alcotest.(check bool) "moves were counted" true
-    (s.cs_escalations >= 2 && s.cs_deescalations >= 2);
-  Alcotest.(check int) "every window ticked" 56 s.cs_ticks
-
-(* Opposite-direction pressure must pass through zero: a hot streak of
-   hysteresis-1 followed by cold windows starts a fresh cold streak at
-   -1, it does not inherit the hot streak's magnitude. *)
-let test_controller_sign_flip () =
-  let ctl = C.create ~batch:P.Steal_two ~threshold:2_000 () in
-  C.tick ctl hot;
-  Alcotest.(check int) "hot pressure" 1 (C.snapshot ctl).cs_pressure;
-  C.tick ctl cold;
-  Alcotest.(check int) "flips to -1, not -2" (-1) (C.snapshot ctl).cs_pressure;
-  Alcotest.check batch "no move on the flip" P.Steal_two (C.batch ctl);
-  C.tick ctl cold;
-  Alcotest.check batch "second cold window de-escalates" P.Steal_one
-    (C.batch ctl)
-
-(* Seeded virtual-backlog simulation: a fixed two-phase event script
-   (overload, then coast) with SplitMix64 noise on the injection rate,
-   replayed against the controller. The controller sees exactly what the
-   runtime would feed it — a queue-wait p99 and a sample count per
-   window — and the whole trajectory is recorded. Requirements:
-
-   - the trajectory is a pure function of the seed: replaying the same
-     seed yields a bit-identical (batch, threshold, pressure) sequence;
-   - whatever batch policy the run starts from, the overload phase
-     drives it to Steal_half;
-   - the coast phase walks it back down to Steal_one.
-
-   The backlog model gives wider batches more drain capacity, but keeps
-   the overload injection above even Steal_half's capacity so the hot
-   phase cannot flap. *)
-let simulate ~seed ~start ~ticks =
-  let rng = Mstd.Rng.create seed in
-  let ctl = C.create ~batch:start ~threshold:2_000 () in
-  let backlog = ref 0 in
-  let traj = ref [] in
-  for i = 1 to ticks do
-    let overload = i <= ticks / 2 in
-    (* Coast injection stays above [min_window_events] so the cold
-       windows read as signal, not noise. *)
-    let inject =
-      if overload then 800 + Mstd.Rng.int rng 64 else 40 + Mstd.Rng.int rng 16
-    in
-    let capacity =
-      match C.batch ctl with
-      | P.Steal_one -> 250
-      | P.Steal_two -> 400
-      | P.Steal_half -> 700
-    in
-    let served = min (!backlog + inject) capacity in
-    backlog := !backlog + inject - served;
-    (* Queue wait grows with what the window left behind. *)
-    let p99 = float_of_int !backlog *. 1_000.0 in
-    C.tick ctl
-      { C.sig_qwait_p99_ns = p99; sig_window_events = served; sig_steals = 0 };
-    let s = C.snapshot ctl in
-    traj :=
-      (P.batch_to_string s.cs_batch, s.cs_threshold, s.cs_pressure) :: !traj
-  done;
-  List.rev !traj
-
-let test_controller_determinism () =
-  let ticks = 120 in
-  List.iter
-    (fun seed ->
-      List.iter
-        (fun start ->
-          let t1 = simulate ~seed ~start ~ticks in
-          let t2 = simulate ~seed ~start ~ticks in
-          if t1 <> t2 then
-            Alcotest.failf "trajectory not reproducible for seed %Ld" seed;
-          let batch_at i =
-            let b, _, _ = List.nth t1 i in
-            b
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "overload converges to half (seed %Ld, start %s)"
-               seed (P.batch_to_string start))
-            "half"
-            (batch_at ((ticks / 2) - 1));
-          Alcotest.(check string)
-            (Printf.sprintf "coast returns to one (seed %Ld, start %s)" seed
-               (P.batch_to_string start))
-            "one"
-            (batch_at (ticks - 1)))
-        [ P.Steal_one; P.Steal_two; P.Steal_half ])
-    [ 1L; 42L; 0xDEADBEEFL ]
-
 let suite =
-  [
-    Alcotest.test_case "want sizes" `Quick test_want;
-    Alcotest.test_case "policy lattice and spellings" `Quick test_lattice;
-    Alcotest.test_case "split_stack order preservation" `Quick test_split_stack;
-    Alcotest.test_case "controller config validation" `Quick
-      test_controller_validation;
-    Alcotest.test_case "controller hysteresis, dead band, clamps" `Quick
-      test_controller_hysteresis;
-    Alcotest.test_case "controller pressure sign flip" `Quick
-      test_controller_sign_flip;
-    Alcotest.test_case "seeded trajectory is a function of the seed" `Quick
-      test_controller_determinism;
-  ]
+  [ Alcotest.test_case "split_stack order preservation" `Quick test_split_stack ]

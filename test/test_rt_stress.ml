@@ -42,19 +42,17 @@ let busywork iters =
   done;
   ignore !acc
 
-(* The ownership/recycled/FIFO scenarios below are parameterized by the
-   batch steal policy: [policy = None] is the original untraced
-   Steal_one run; [Some p] runs the same scenario under [p] with the
-   flight recorder on, and each run's real-domain trace must pass the
-   offline replay checkers — multi-queue claims must not be able to buy
-   throughput at the expense of mutual exclusion or per-color FIFO. *)
-let make_rt ?policy ~workers () =
-  match policy with
-  | None -> Rt.Runtime.create ~workers ()
-  | Some p ->
-    Rt.Runtime.create ~workers ~steal_policy:p
+(* The ownership/recycled/FIFO scenarios below run twice: untraced,
+   and with the flight recorder on ([traced]), where each run's
+   real-domain trace must also pass both offline replay checkers —
+   mutual exclusion and per-color FIFO certified from the spans, not
+   only from the probes. *)
+let make_rt ~traced ~workers () =
+  if traced then
+    Rt.Runtime.create ~workers
       ~trace:{ Rt.Trace.capacity = 16_384; histograms = false }
       ()
+  else Rt.Runtime.create ~workers ()
 
 let certify_trace ~msg rt =
   match Rt.Runtime.trace rt with
@@ -78,11 +76,11 @@ let certify_trace ~msg rt =
    color keep arriving from handlers running on other workers while that
    color's queue sits stealable — exactly the collision the seed's
    deferred ownership transfer loses. *)
-let test_steal_enqueue_ownership ?policy ?(runs = 60) () =
+let test_steal_enqueue_ownership ?(traced = false) ?(runs = 60) () =
   let total_steals = ref 0 in
   for run = 1 to runs do
     let workers = 2 + (run mod 3) in
-    let rt = make_rt ?policy ~workers () in
+    let rt = make_rt ~traced ~workers () in
     (* Large declared cycles: every color is immediately steal-worthy. *)
     let h = Rt.Runtime.handler rt ~name:"own" ~declared_cycles:500_000 () in
     let n_colors = 6 and seeds = 4 and depth = 5 in
@@ -140,10 +138,10 @@ let test_steal_enqueue_ownership ?policy ?(runs = 60) () =
    unmapping) between consecutive events of its color. An enqueuer
    racing [forget_if_drained] on the seed code pushes into a dropped
    queue and the event is duplicated onto a fresh queue or lost. *)
-let test_recycled_colors ?policy ?(runs = 50) () =
+let test_recycled_colors ?(traced = false) ?(runs = 50) () =
   for run = 1 to runs do
     let workers = 2 + (run mod 3) in
-    let rt = make_rt ?policy ~workers () in
+    let rt = make_rt ~traced ~workers () in
     let h = Rt.Runtime.handler rt ~name:"recycle" ~declared_cycles:100_000 () in
     let n_colors = 3 and chains = 6 and depth = 40 in
     let count = Atomic.make 0 in
@@ -179,10 +177,10 @@ let test_recycled_colors ?policy ?(runs = 50) () =
 (* Per-color FIFO must survive steals and recycling: each color records
    its observed sequence numbers; mutual exclusion makes the per-color
    array single-writer. *)
-let test_fifo_under_stealing ?policy ?(runs = 50) () =
+let test_fifo_under_stealing ?(traced = false) ?(runs = 50) () =
   for run = 1 to runs do
     let workers = 2 + (run mod 3) in
-    let rt = make_rt ?policy ~workers () in
+    let rt = make_rt ~traced ~workers () in
     let h = Rt.Runtime.handler rt ~name:"fifo" ~declared_cycles:200_000 () in
     let n_colors = 5 and per_color = 30 in
     let seen = Array.make n_colors [] in
@@ -547,18 +545,12 @@ let suite =
     Alcotest.test_case "recycled colors x50" `Slow (fun () -> test_recycled_colors ());
     Alcotest.test_case "fifo under stealing x50" `Slow (fun () ->
         test_fifo_under_stealing ());
-    Alcotest.test_case "ownership under steal-two, traced x20" `Slow (fun () ->
-        test_steal_enqueue_ownership ~policy:Rt.Policy.Steal_two ~runs:20 ());
-    Alcotest.test_case "ownership under steal-half, traced x20" `Slow (fun () ->
-        test_steal_enqueue_ownership ~policy:Rt.Policy.Steal_half ~runs:20 ());
-    Alcotest.test_case "recycled colors under steal-two, traced x15" `Slow
-      (fun () -> test_recycled_colors ~policy:Rt.Policy.Steal_two ~runs:15 ());
-    Alcotest.test_case "recycled colors under steal-half, traced x15" `Slow
-      (fun () -> test_recycled_colors ~policy:Rt.Policy.Steal_half ~runs:15 ());
-    Alcotest.test_case "fifo under steal-two, traced x15" `Slow (fun () ->
-        test_fifo_under_stealing ~policy:Rt.Policy.Steal_two ~runs:15 ());
-    Alcotest.test_case "fifo under steal-half, traced x15" `Slow (fun () ->
-        test_fifo_under_stealing ~policy:Rt.Policy.Steal_half ~runs:15 ());
+    Alcotest.test_case "ownership, traced x20" `Slow (fun () ->
+        test_steal_enqueue_ownership ~traced:true ~runs:20 ());
+    Alcotest.test_case "recycled colors, traced x15" `Slow (fun () ->
+        test_recycled_colors ~traced:true ~runs:15 ());
+    Alcotest.test_case "fifo, traced x15" `Slow (fun () ->
+        test_fifo_under_stealing ~traced:true ~runs:15 ());
     Alcotest.test_case "parking on serial chain" `Quick test_parking_on_serial_chain;
     Alcotest.test_case "raising handlers terminate (4 workers)" `Quick
       test_raising_handlers_terminate;

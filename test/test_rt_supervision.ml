@@ -5,10 +5,10 @@
    - the restart breaker as a pure state machine under a virtual clock
      (backoff doubling, storm trip latching, healthy-period reset);
    - kill storms on the live runtime — injected deaths and seeded
-     [Faults.Kill] schedules across every steal policy — certified by
-     the same replay checkers as the steal tests: migration must not
-     buy liveness at the expense of per-color mutual exclusion or
-     FIFO, and no accepted event may be lost;
+     [Faults.Kill] schedules — certified by the same replay checkers
+     as the steal tests: migration must not buy liveness at the
+     expense of per-color mutual exclusion or FIFO, and no accepted
+     event may be lost;
    - the wedge path: a handler that never returns is quarantined and
      force-confiscated, its color poisoned, its backlog abandoned with
      exact accounting, and the runtime degrades honestly instead of
@@ -227,9 +227,9 @@ let test_restart_worker_policy () =
   Alcotest.(check int) "survivors ran the rest" (!accepted - 6) (Atomic.get ran)
 
 (* ---------------------------------------------------------------- *)
-(* Seeded kill storms across every steal policy.                     *)
+(* Seeded kill storms.                                               *)
 
-let kill_storm ?policy ?controller ~workers ~seed ~events () =
+let kill_storm ~workers ~seed ~events () =
   let plan =
     {
       Rt.Faults.calm_plan with
@@ -238,8 +238,7 @@ let kill_storm ?policy ?controller ~workers ~seed ~events () =
   in
   let faults = Rt.Faults.seeded ~plan seed in
   let rt =
-    Rt.Runtime.create ~workers ?steal_policy:policy ?controller ~faults
-      ~supervision:fast_sup
+    Rt.Runtime.create ~workers ~faults ~supervision:fast_sup
       ~trace:{ Rt.Trace.capacity = 65_536; histograms = false }
       ()
   in
@@ -276,24 +275,12 @@ let certify name rt accepted =
   Alcotest.(check bool) (name ^ ": replay FIFO clean") true
     (Rt.Trace.check_fifo_per_color tr = None)
 
-let test_kill_storm_policies () =
-  List.iter
-    (fun (name, policy, controller) ->
-      let rt, accepted, kills =
-        kill_storm ?policy ?controller ~workers:4 ~seed:11 ~events:2_000 ()
-      in
-      Alcotest.(check bool) (name ^ ": kills occurred") true (kills > 0);
-      Alcotest.(check bool)
-        (name ^ ": supervisor restarted or degraded honestly")
-        true
-        (Rt.Runtime.worker_restarts rt > 0 || Rt.Runtime.is_degraded rt);
-      certify name rt accepted)
-    [
-      ("one", Some Rt.Policy.Steal_one, None);
-      ("two", Some Rt.Policy.Steal_two, None);
-      ("half", Some Rt.Policy.Steal_half, None);
-      ("auto", None, Some Rt.Policy.Controller.default_config);
-    ]
+let test_kill_storm () =
+  let rt, accepted, kills = kill_storm ~workers:4 ~seed:11 ~events:2_000 () in
+  Alcotest.(check bool) "kills occurred" true (kills > 0);
+  Alcotest.(check bool) "supervisor restarted or degraded honestly" true
+    (Rt.Runtime.worker_restarts rt > 0 || Rt.Runtime.is_degraded rt);
+  certify "storm" rt accepted
 
 (* The kill schedule is a pure function of (seed, k): the same seed
    kills the same number of workers in back-to-back storms. *)
@@ -417,8 +404,7 @@ let suite =
       test_drain_with_dead_worker;
     Alcotest.test_case "Restart_worker policy restarts the domain" `Quick
       test_restart_worker_policy;
-    Alcotest.test_case "seeded kill storm at every steal policy" `Slow
-      test_kill_storm_policies;
+    Alcotest.test_case "seeded kill storm, replay-certified" `Slow test_kill_storm;
     Alcotest.test_case "kill schedule deterministic per seed" `Quick
       test_kill_storm_deterministic;
     Alcotest.test_case "wedged handler: confiscation and poisoned color" `Quick

@@ -18,9 +18,9 @@ let spin ctx =
    result) once everything has drained and stopped. [event h color] is
    the handler body for [color]; [unbalanced] homes every color on
    worker 0, so the other workers only get work by stealing. *)
-let with_storm ?(workers = 4) ?(injectors = 3) ?(per_injector = 2_000) ?steal_policy
+let with_storm ?(workers = 4) ?(injectors = 3) ?(per_injector = 2_000)
     ?(unbalanced = false) ?(event = fun _ _ -> spin) observe =
-  let rt = Rt.Runtime.create ~workers ?steal_policy () in
+  let rt = Rt.Runtime.create ~workers () in
   (* Above the default worthiness bar: every queued color is stealable. *)
   let h = Rt.Runtime.handler rt ~name:"storm" ~declared_cycles:10_000 () in
   Rt.Runtime.start rt;
@@ -108,8 +108,8 @@ let test_back_to_back_snapshots_bracket () =
   in
   ()
 
-(* Once quiescent the books close exactly, after an unbalanced
-   steal-half storm whose handlers also publish follow-ups and raise:
+(* Once quiescent the books close exactly, after an unbalanced storm
+   whose handlers also publish follow-ups and raise:
    every runtime total equals the sum over workers of the counter it is
    derived from, both histogram families hold one observation per
    executed event, and the steal matrix's rows and columns both sum to
@@ -128,7 +128,7 @@ let test_quiescent_totals_close () =
     end
   in
   let injected, rt, () =
-    with_storm ~steal_policy:Rt.Policy.Steal_half ~unbalanced:true ~event (fun _ -> ())
+    with_storm ~unbalanced:true ~event (fun _ -> ())
   in
   let s = Rt.Runtime.telemetry_snapshot rt in
   let sum f =
@@ -153,6 +153,12 @@ let test_quiescent_totals_close () =
     (sum (fun w -> w.w_metrics.steals_out));
   Alcotest.(check int) "steal matrix total = steals" s.s_steals
     (sum (fun w -> Array.fold_left ( + ) 0 w.w_steals_from));
+  (* A winning probe claims exactly one queue. *)
+  Array.iter
+    (fun (w : Rt.Telemetry.worker_snap) ->
+      Alcotest.(check int) (Printf.sprintf "worker %d: batch_extra = 0" w.w_id) 0
+        w.w_metrics.batch_extra)
+    s.s_workers;
   Alcotest.(check int) "steal rounds sum = steal attempts" s.s_steal_attempts
     (sum (fun w -> w.w_metrics.steal_rounds));
   Alcotest.(check int) "errors sum = errors" s.s_errors

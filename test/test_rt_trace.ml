@@ -213,6 +213,71 @@ let test_visit_accounting () =
   Alcotest.(check bool) "every round probes at least one victim" true
     (visits >= Rt.Runtime.steal_attempts rt)
 
+(* The thief's victim order is the fixed cache-locality order: built
+   here from [Hw.Topology] the way the runtime builds it (pairs share an
+   L2, two pairs a package; distance ties broken by ring order from the
+   thief), never re-ranked at run time. So on every worker each Visit
+   either starts a round (the head of the order) or probes the victim
+   right after the previous Visit's. *)
+let locality_order n w =
+  let packages = max 1 ((n + 3) / 4) in
+  let topo = Hw.Topology.create ~packages ~groups_per_package:2 ~cores_per_group:2 in
+  let key v = (Hw.Topology.(distance_rank (distance topo w v)), (v - w + n) mod n) in
+  List.sort
+    (fun a b -> compare (key a) (key b))
+    (List.filter (fun v -> v <> w) (List.init n Fun.id))
+
+let test_visits_follow_locality () =
+  let workers = 4 in
+  let rt =
+    Rt.Runtime.create ~workers
+      ~trace:{ Rt.Trace.capacity = 65_536; histograms = false }
+      ()
+  in
+  let heavy = Rt.Runtime.handler rt ~name:"heavy" ~declared_cycles:400_000 () in
+  (* Every color homes on worker 0; the others get work only by
+     stealing, and probe near-empty siblings along the way. Several
+     runs on one runtime give the thieves many rounds to drift in. *)
+  for _ = 1 to 5 do
+    for i = 0 to 1_999 do
+      Rt.Runtime.register rt ~color:(workers * (1 + (i mod 16))) ~handler:heavy (fun _ ->
+          busywork 5_000)
+    done;
+    Rt.Runtime.run_until_idle rt
+  done;
+  let tr = trace_of rt in
+  let checked = ref 0 in
+  for w = 0 to workers - 1 do
+    let order = locality_order workers w in
+    let head = List.hd order in
+    let rec next_after p = function
+      | a :: (b :: _ as rest) -> if a = p then Some b else next_after p rest
+      | _ -> None
+    in
+    (* With ring drops the oldest retained Visit may sit mid-round. *)
+    let prev = ref None and first = ref (Rt.Trace.dropped tr w > 0) in
+    List.iter
+      (function
+        | Rt.Trace.Visit v ->
+          let continues =
+            match !prev with
+            | Some p -> next_after p order = Some v.v_victim
+            | None -> false
+          in
+          if not (v.v_victim = head || continues || !first) then
+            Alcotest.failf "worker %d probed %d after %s; locality order is [%s]" w
+              v.v_victim
+              (match !prev with Some p -> string_of_int p | None -> "nothing")
+              (String.concat "; " (List.map string_of_int order));
+          first := false;
+          prev := Some v.v_victim;
+          incr checked
+        | _ -> ())
+      (Rt.Trace.spans tr w)
+  done;
+  Alcotest.(check bool) "work was stolen" true (Rt.Runtime.steals rt > 0);
+  Alcotest.(check bool) "visits were recorded" true (!checked > 0)
+
 let test_tracing_disabled () =
   let rt = Rt.Runtime.create ~workers:2 () in
   let h = Rt.Runtime.handler rt ~name:"plain" () in
@@ -439,6 +504,8 @@ let suite =
       test_ring_overflow;
     Alcotest.test_case "latency histograms per handler" `Quick test_latency_histograms;
     Alcotest.test_case "steal-visit accounting ties out" `Quick test_visit_accounting;
+    Alcotest.test_case "visits follow the locality order" `Quick
+      test_visits_follow_locality;
     Alcotest.test_case "tracing disabled is inert" `Quick test_tracing_disabled;
     Alcotest.test_case "chrome export parses with required keys" `Quick
       test_chrome_export_schema;
