@@ -937,6 +937,10 @@ let run_rt_chaos seed workers conns requests loris json_out =
   check "C" "kill schedule deterministic per seed"
     (c_kills = c_kills2 && c_accepted = c_accepted2);
   check "C" "supervisor restarted workers" (Rt.Runtime.worker_restarts rtc > 0);
+  (* A slot holds at most one kill not yet answered by a restart (a
+     respawn in flight, or a slot the breaker left down). *)
+  check "C" "restarts >= kills - workers"
+    (Rt.Runtime.worker_restarts rtc >= c_kills - workers);
   check "C" "colors migrated off dead workers" (Rt.Runtime.migrations rtc > 0);
   check "C" "no accepted event was lost"
     (c_exec + Rt.Runtime.abandoned rtc = c_accepted);
@@ -1135,6 +1139,17 @@ let run_rt_soak seed workers duration kill_prob check_every json_out =
   Rt.Runtime.stop rt;
   let wall = Unix.gettimeofday () -. t0 in
   let kills = (Rt.Faults.counts faults Rt.Faults.Kill).Rt.Faults.errnos in
+  if !checkpoints < 1 then fail "no conservation checkpoint ran";
+  (* The work floor: 25k accepted events per second of budget. *)
+  let floor = int_of_float (25_000. *. duration) in
+  if !accepted < floor then
+    fail "too slow: %d accepted events, floor %d for %.1fs" !accepted floor duration;
+  (* With >= 20 kills expected, seeing none means the schedule is off
+     (P(0) = e^-20). *)
+  if kill_prob *. float_of_int !accepted >= 20. then begin
+    if kills = 0 then fail "no worker kills (kill-prob %g over %d events)" kill_prob !accepted;
+    if Rt.Runtime.worker_restarts rt = 0 then fail "%d kills but no worker restarts" kills
+  end;
   let ok = !failures = [] in
   Printf.printf
     "soak (seed %d, %d workers, %.1fs): %d events (%.0f ev/s), %d checkpoints, \
@@ -1172,6 +1187,28 @@ let run_rt_soak seed workers duration kill_prob check_every json_out =
     close_out oc;
     Printf.printf "wrote %s\n" path);
   flush stdout;
+  if ok then 0 else 1
+
+(* The CI perfbench A/B gate: each directory holds one W.jsonl per
+   workload W, line i being pair i's perfbench result line; the metrics
+   and their bounds come from ./BENCHMARK.json. *)
+let run_perf_gate base_dir change_dir =
+  let runs dir =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.filter_map (fun f ->
+           Option.map
+             (fun w -> (w, In_channel.with_open_text (Filename.concat dir f) In_channel.input_lines))
+             (Filename.chop_suffix_opt ~suffix:".jsonl" f))
+  in
+  let benchmark = Mstd.Json.parse (In_channel.with_open_text "BENCHMARK.json" In_channel.input_all) in
+  let checks =
+    Mstd.Perf_gate.judge ~benchmark ~base:(runs base_dir) ~change:(runs change_dir)
+  in
+  List.iter
+    (fun (c : Mstd.Perf_gate.check) -> Printf.printf "%-4s %s\n" (if c.ok then "ok" else "FAIL") c.line)
+    checks;
+  let ok = List.for_all (fun (c : Mstd.Perf_gate.check) -> c.ok) checks in
+  Printf.printf "perf-gate: %s\n%!" (if ok then "pass" else "FAIL");
   if ok then 0 else 1
 
 open Cmdliner
@@ -1434,7 +1471,21 @@ let rt_cmd =
           runs the long-soak self-healing gate).")
     [ trace_cmd; serve_cmd; top_cmd; loadgen_cmd; chaos_cmd; soak_cmd ]
 
+let perf_gate_cmd =
+  let dir n docv =
+    Arg.(required & pos n (some dir) None & info [] ~docv ~doc:(docv ^ " result directory."))
+  in
+  Cmd.v
+    (Cmd.info "perf-gate"
+       ~doc:
+         "A/B regression verdict over perfbench runs from the same host: \
+          $(b,BASE) and $(b,CHANGE) each hold one $(i,W).jsonl per workload, \
+          line $(i,i) the result line of pair $(i,i). Fails on any incorrect \
+          run, a larger failed share, or a BENCHMARK.json end-to-end metric \
+          worse than the base beyond its bound in every pair.")
+    Term.(const run_perf_gate $ dir 0 "BASE" $ dir 1 "CHANGE")
+
 let () =
   let doc = "Mely reproduction: workstealing for multicore event-driven systems" in
   let info = Cmd.info "melyctl" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval' (Cmd.group info [ list_cmd; run_cmd; rt_cmd ]))
+  exit (Cmd.eval' (Cmd.group info [ list_cmd; run_cmd; rt_cmd; perf_gate_cmd ]))

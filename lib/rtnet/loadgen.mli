@@ -2,7 +2,7 @@
     pipelined keep-alive requests each, with optional deliberately torn
     writes, validating every response byte-for-byte against the
     expected prebuilt bytes. Used by the e2e tests, [melyctl rt
-    loadgen], the [rt_webserver] example and [bench net-json]. *)
+    loadgen], the [rt_webserver] example and [melyctl rt chaos]. *)
 
 type result = {
   requests_sent : int;

@@ -224,6 +224,45 @@ let test_prometheus_exposition () =
   Alcotest.(check bool) "a low bucket holds the 2.0s" true
     (count_sub "} 2\n" >= 1)
 
+(* The perfbench A/B verdict on synthetic runs: 3 pairs of one
+   workload, one lower-is-better and one higher-is-better metric. *)
+let test_perf_gate () =
+  let benchmark =
+    Mstd.Json.parse
+      {|{"workloads": [{"name": "w"}], "end_to_end": [
+         {"name": "cpu_us_per_op", "better": "lower", "bound": 0.25},
+         {"name": "peak_ops_s", "better": "higher", "bound": 0.25}]}|}
+  in
+  let run ?(correct = true) ?(failed = 0) ?(cpu = 10.) ?(peak = 1000.) () =
+    Printf.sprintf
+      {|{"correct": %b, "attempted": 1000, "failed": %d, "metrics": {
+         "cpu_us_per_op": {"value": %g, "unit": "us"},
+         "peak_ops_s": {"value": %g, "unit": "1/s"}}}|}
+      correct failed cpu peak
+  in
+  let base = [ run (); run (); run () ] in
+  let passes ?(base = base) change =
+    List.for_all
+      (fun (c : Mstd.Perf_gate.check) -> c.ok)
+      (Mstd.Perf_gate.judge ~benchmark ~base:[ ("w", base) ] ~change:[ ("w", change) ])
+  in
+  let cases =
+    [
+      ("A/A", true, base);
+      ("one run incorrect", false, [ run (); run ~correct:false (); run () ]);
+      ("cpu worse beyond bound 3/3", false, List.init 3 (fun _ -> run ~cpu:13. ()));
+      ("peak lower beyond bound 3/3", false, List.init 3 (fun _ -> run ~peak:700. ()));
+      ("larger failed share", false, [ run (); run ~failed:1 (); run () ]);
+      ("worse in only 2 of 3 pairs", true, [ run ~cpu:20. (); run ~cpu:20. (); run () ]);
+      ("worse within bound 3/3", true, List.init 3 (fun _ -> run ~cpu:12. ~peak:800. ()));
+      ("better beyond bound", true, List.init 3 (fun _ -> run ~cpu:5. ~peak:2000. ()));
+      ("a pair missing", false, [ run (); run () ]);
+      ("unparseable line", false, [ run (); ""; run () ]);
+    ]
+  in
+  List.iter (fun (name, want, change) -> Alcotest.(check bool) name want (passes change)) cases;
+  Alcotest.(check bool) "workload without runs" false (passes ~base:[] [])
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -241,6 +280,7 @@ let suite =
     Alcotest.test_case "histogram windowed epochs" `Quick test_histogram_windowed;
     Alcotest.test_case "json round-trip + accessors" `Quick test_json_roundtrip;
     Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
+    Alcotest.test_case "perf gate A/B verdict" `Quick test_perf_gate;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table too many cells" `Quick test_table_too_many_cells;
     Alcotest.test_case "units" `Quick test_units;

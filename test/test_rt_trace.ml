@@ -436,7 +436,7 @@ let parse_json (s : string) : json =
   v
 
 let test_chrome_export_schema () =
-  let workers = 3 in
+  let workers = 4 in
   let rt =
     Rt.Runtime.create ~workers
       ~trace:{ Rt.Trace.capacity = 8_192; histograms = true }

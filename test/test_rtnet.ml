@@ -475,59 +475,140 @@ let contains hay needle =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
+(* Prometheus text exposition (0.0.4) lint: every sample line matches
+   the sample grammar, each family has exactly one HELP and one TYPE of
+   a known kind, and every sample's family has a TYPE. Returns
+   (series, value) pairs. *)
+let sample_re =
+  Str.regexp {|^\([a-zA-Z_:][a-zA-Z0-9_:]*\)\({[^}]*}\)? \([0-9.eE+-]+\|\+Inf\|NaN\)$|}
+
+let lint_exposition body =
+  let helps = Hashtbl.create 64 and types = Hashtbl.create 64 in
+  let once tbl what fam =
+    if Hashtbl.mem tbl fam then Alcotest.failf "duplicate %s for %s" what fam;
+    Hashtbl.replace tbl fam ()
+  in
+  let samples =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ "" ] -> None
+        | "#" :: "HELP" :: fam :: _ ->
+          once helps "HELP" fam;
+          None
+        | [ "#"; "TYPE"; fam; ("counter" | "gauge" | "histogram") ] ->
+          once types "TYPE" fam;
+          None
+        | _ ->
+          if not (Str.string_match sample_re line 0) then
+            Alcotest.failf "unparseable exposition line: %S" line;
+          let name = Str.matched_group 1 line in
+          let labels = try Str.matched_group 2 line with Not_found -> "" in
+          Some (name, name ^ labels, float_of_string (Str.matched_group 3 line)))
+      (String.split_on_char '\n' body)
+  in
+  let families t = List.sort compare (Hashtbl.fold (fun fam () acc -> fam :: acc) t []) in
+  Alcotest.(check (list string)) "a HELP and a TYPE per family" (families helps) (families types);
+  let suffix = Str.regexp "_\\(bucket\\|sum\\|count\\)$" in
+  List.map
+    (fun (name, series, v) ->
+      if not (Hashtbl.mem types (Str.global_replace suffix "" name) || Hashtbl.mem types name)
+      then Alcotest.failf "sample %s has no TYPE" series;
+      (series, v))
+    samples
+
+(* Scrape /metrics and /stats.json while a loadgen runs against 4
+   workers and 4 shards, and check every snapshot the dashboards read. *)
 let test_admin_endpoints () =
-  with_server ~workers:2 ~shards:2 ~admin_port:0 (fun rt server cache ->
-      let aport = Option.get (Rtnet.Server.admin_port server) in
-      (* Real traffic first so the series are non-trivial. *)
-      let r =
-        Rtnet.Loadgen.run ~port:(Rtnet.Server.port server) ~conns:8 ~requests:40
-          ~pipeline:4 ~close_last:true ~targets:(targets cache) ()
+  let workers = 4 and shards = 4 and conns = 8 and requests = 400 in
+  with_server ~workers ~shards ~admin_port:0 (fun rt server cache ->
+      let load_done = Atomic.make false in
+      let loader =
+        Domain.spawn (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Atomic.set load_done true)
+              (fun () ->
+                Rtnet.Loadgen.run ~port:(Rtnet.Server.port server) ~conns ~requests
+                  ~pipeline:4 ~client_domains:2 ~close_last:true ~targets:(targets cache) ()))
       in
-      Alcotest.(check int) "load ok" (8 * 40) r.responses_ok;
-      let fd = connect aport in
+      let fd = connect (Option.get (Rtnet.Server.admin_port server)) in
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
-          let status, raw = roundtrip fd (get "/healthz") in
-          Alcotest.(check string) "healthz 200" "HTTP/1.1 200 OK" status;
-          Alcotest.(check bool) "healthz body" true (contains raw "ok");
-          let status, raw = roundtrip fd (get "/metrics") in
-          Alcotest.(check string) "metrics 200" "HTTP/1.1 200 OK" status;
-          let body = admin_body raw in
-          List.iter
-            (fun series ->
-              Alcotest.(check bool) (series ^ " present") true
-                (contains body series))
-            [
-              "# TYPE mely_runtime_executed_total counter";
-              "mely_worker_executed_total{worker=\"0\"}";
-              "mely_worker_executed_total{worker=\"1\"}";
-              "mely_worker_queue_wait_p99_ns{worker=\"0\"}";
-              "mely_worker_queue_wait_ns_bucket{worker=\"0\",le=\"+Inf\"}";
-              "mely_net_shard_conns_open{shard=\"0\"}";
-              "mely_net_shard_conns_open{shard=\"1\"}";
-              "mely_net_shard_reqs_served_total{shard=\"0\"}";
-            ];
-          let status, raw = roundtrip fd (get "/stats.json") in
-          Alcotest.(check string) "stats 200" "HTTP/1.1 200 OK" status;
-          let j = Mstd.Json.parse (admin_body raw) in
-          let runtime = Mstd.Json.member_exn "runtime" j in
-          Alcotest.(check int) "workers" 2 (Mstd.Json.get_int "workers" runtime);
-          Alcotest.(check bool) "executed > 0" true
-            (Mstd.Json.get_int "executed" runtime > 0);
-          let shards =
-            Mstd.Json.get_list "shards" (Mstd.Json.member_exn "net" j)
+          let fetch path =
+            let status, raw = roundtrip fd (get path) in
+            Alcotest.(check string) (path ^ " 200") "HTTP/1.1 200 OK" status;
+            admin_body raw
           in
-          Alcotest.(check int) "2 net shards" 2 (List.length shards);
+          Alcotest.(check bool) "healthz body" true (contains (fetch "/healthz") "ok");
+          while Rt.Runtime.executed rt = 0 do
+            Domain.cpu_relax ()
+          done;
+          (* A scrape that returns before [load_done] is set was taken
+             mid-run. *)
+          let mid_run = ref 0 in
+          while not (Atomic.get load_done) do
+            let metrics = fetch "/metrics" in
+            let samples = lint_exposition metrics in
+            let stats = Mstd.Json.parse (fetch "/stats.json") in
+            if not (Atomic.get load_done) then incr mid_run;
+            let value series =
+              match List.assoc_opt series samples with
+              | Some v -> v
+              | None -> Alcotest.failf "missing %s" series
+            in
+            let each label n families =
+              for i = 0 to n - 1 do
+                List.iter (fun f -> ignore (value (Printf.sprintf "%s{%s=\"%d\"}" f label i))) families
+              done
+            in
+            each "worker" workers
+              [
+                "mely_worker_executed_total";
+                "mely_worker_steals_in_total";
+                "mely_worker_queue_wait_p50_ns";
+                "mely_worker_queue_wait_p99_ns";
+              ];
+            each "shard" shards
+              [
+                "mely_net_shard_conns_open";
+                "mely_net_shard_reqs_served_total";
+                "mely_net_shard_reqs_shed_total";
+              ];
+            ignore (value "mely_worker_queue_wait_ns_bucket{worker=\"0\",le=\"+Inf\"}");
+            Alcotest.(check bool) "executed is a counter" true
+              (contains metrics "# TYPE mely_runtime_executed_total counter");
+            Alcotest.(check bool) "metrics: executed > 0" true
+              (value "mely_runtime_executed_total" > 0.);
+            Alcotest.(check (float 0.)) "metrics: accepting" 1. (value "mely_runtime_accepting");
+            let open Mstd.Json in
+            let runtime = member_exn "runtime" stats and ws = get_list "workers" stats in
+            let executed = get_int "executed" runtime in
+            Alcotest.(check (list int)) "runtime workers, worker and shard entries"
+              [ workers; workers; shards ]
+              [ get_int "workers" runtime; List.length ws; List.length (get_list "shards" (member_exn "net" stats)) ];
+            Alcotest.(check bool) "stats: executed > 0" true (executed > 0);
+            Alcotest.(check bool) "stats: accepting" true (to_bool (member_exn "accepting" runtime));
+            List.iter
+              (fun w ->
+                let qw = member_exn "queue_wait" w in
+                Alcotest.(check int) "queue_wait count = sum of buckets" (get_int "count" qw)
+                  (List.fold_left (fun acc b -> acc + to_int (List.nth (to_list b) 2)) 0 (get_list "buckets" qw)))
+              ws;
+            Alcotest.(check bool) "per-worker executed sum <= runtime total" true
+              (List.fold_left (fun acc w -> acc + get_int "executed" w) 0 ws <= executed)
+          done;
+          Alcotest.(check bool) "scraped mid-run" true (!mid_run >= 1);
+          Alcotest.(check int) "load ok" (conns * requests) (Domain.join loader).responses_ok;
           let served =
             List.fold_left
               (fun acc s -> acc + Mstd.Json.get_int "served" s)
-              0 shards
+              0
+              (Mstd.Json.get_list "shards" (Mstd.Json.member_exn "net" (Mstd.Json.parse (fetch "/stats.json"))))
           in
-          Alcotest.(check bool) "shards served the load" true (served >= 8 * 40);
+          Alcotest.(check bool) "shards served the load" true (served >= conns * requests);
           let status, _ = roundtrip fd (get "/nope") in
-          Alcotest.(check string) "unknown admin path is 404"
-            "HTTP/1.1 404 Not Found" status);
+          Alcotest.(check string) "unknown admin path is 404" "HTTP/1.1 404 Not Found" status);
       Rtnet.Server.stop server;
       Rt.Runtime.stop rt)
 
