@@ -6,7 +6,11 @@
 # sides of pair k). Each run's last line, its JSON result, is
 # appended to OUT/base/W.jsonl or OUT/change/W.jsonl and its full report
 # to W.log beside it; `melyctl perf-gate` then judges the two
-# directories. Run from the repository root:
+# directories. One extra `--trace 1` run per workload on the change side
+# keeps its per-layer report (rt.park_share, rt.busy_ratio,
+# rt.steal_attempts, rt.parks_per_kop, ...) in OUT/change/W.traced.log
+# as evidence for the artifact; it is not judged. Run from the
+# repository root:
 #   bash .github/perfbench-ab.sh REV [OUT]
 set -euo pipefail
 base_rev=$(git merge-base "$1" HEAD)
@@ -40,5 +44,7 @@ for w in $workloads; do
       run base "$base_tree" "$w" "$k"
     fi
   done
+  bash perfbench/run.sh --workload "$w" --seed 1 --seconds "$seconds" --trace 1 \
+    > "$out/change/$w.traced.log" 2>&1 || true
 done
 ./_build/default/bin/melyctl.exe perf-gate "$out/base" "$out/change"

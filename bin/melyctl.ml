@@ -240,6 +240,18 @@ let run_rt_trace workers events trace_out trace_cap histograms =
   in
   Printf.printf "trace: %d spans retained (%d dropped, ring capacity %d/worker)\n"
     retained (Rt.Trace.total_dropped tr) trace_cap;
+  (* Steal visits by outcome; [quiet] ones skipped a victim whose
+     worthy-work advert had not moved, without probing it. *)
+  let spans = List.concat (List.init workers (Rt.Trace.spans tr)) in
+  let visits o =
+    List.length
+      (List.filter (function Rt.Trace.Visit v -> v.v_outcome = o | _ -> false) spans)
+  in
+  Printf.printf "visits: %s\n"
+    (String.concat ", "
+       (List.map
+          (fun o -> Printf.sprintf "%s %d" (Rt.Trace.visit_outcome_name o) (visits o))
+          Rt.Trace.[ Won; Empty; Unworthy; Executing; Quiet ]));
   let status =
     match (Rt.Trace.check_mutual_exclusion tr, Rt.Trace.check_fifo_per_color tr) with
     | None, None ->

@@ -24,10 +24,24 @@ let bucket_of t v =
     if b >= Array.length t.counts then Array.length t.counts - 1 else max 0 b
   end
 
-let add t v =
-  let b = bucket_of t v in
+(* floor (log2 v) for v >= 1, halving the probed shift from 32: six
+   shifts and compares, no float conversion and no allocation. *)
+let rec log2_from v r s =
+  if s = 0 then r
+  else if v lsr s <> 0 then log2_from (v lsr s) (r + s) (s / 2)
+  else log2_from v r (s / 2)
+
+let bucket_of_int t v =
+  if t.base <> 2.0 then bucket_of t (float_of_int v)
+  else if v < 1 then 0
+  else min (log2_from v 0 32) (Array.length t.counts - 1)
+
+let bump t b =
   t.counts.(b) <- t.counts.(b) + 1;
   t.total <- t.total + 1
+
+let add t v = bump t (bucket_of t v)
+let add_int t v = bump t (bucket_of_int t v)
 
 let merge ~into src =
   if into.base <> src.base || Array.length into.counts <> Array.length src.counts then
@@ -119,13 +133,22 @@ module Windowed = struct
       seen_epoch = 0;
     }
 
-  let add w ~epoch v =
+  let enter w ~epoch =
     if epoch <> w.seen_epoch then begin
       reset w.wins.(epoch land 1);
       w.seen_epoch <- epoch
     end;
+    w.wins.(epoch land 1)
+
+  let add w ~epoch v =
+    let win = enter w ~epoch in
     add w.cum v;
-    add w.wins.(epoch land 1) v
+    add win v
+
+  let add_int w ~epoch v =
+    let win = enter w ~epoch in
+    add_int w.cum v;
+    add_int win v
 
   let cumulative w = copy w.cum
   let window w ~epoch = copy w.wins.((epoch - 1) land 1)

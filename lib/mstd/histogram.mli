@@ -13,6 +13,19 @@ val create : ?base:float -> ?buckets:int -> unit -> t
 val add : t -> float -> unit
 (** Record one observation. Negative observations count in bucket 0. *)
 
+val add_int : t -> int -> unit
+(** [add_int t v] records [v] with integer arithmetic only (base 2;
+    other bases fall back to the float path). It picks the bucket
+    [add t (float_of_int v)] picks wherever [float_of_int v] is exact,
+    that is up to 2{^53}; above that it keeps the exact bucket where
+    the float path can round up by one. *)
+
+val bucket_of : t -> float -> int
+(** Bucket index [add] records a value in. *)
+
+val bucket_of_int : t -> int -> int
+(** Bucket index [add_int] records a value in. *)
+
 val merge : into:t -> t -> unit
 (** [merge ~into src] adds every bucket of [src] into [into]. Raises
     [Invalid_argument] if base or bucket count differ. Useful for
@@ -63,6 +76,10 @@ module Windowed : sig
   (** Record into the cumulative histogram and the current epoch's
       window buffer. On the first add after an epoch change, the entering
       buffer (parity [epoch land 1]) is zeroed. Single writer only. *)
+
+  val add_int : t -> epoch:int -> int -> unit
+  (** [add] of an integer observation through {!add_int}: no float
+      work. *)
 
   val cumulative : t -> outer
   (** Racy-read-safe copy of the all-time histogram. *)

@@ -112,6 +112,19 @@ type worker_state = {
       (** Colors currently chained to this worker (inbox + deque +
           in-flight hand-offs); a thief reads it to label an empty
           probe. *)
+  advert : int Atomic.t;
+      (** Worthy-work advert: bumped after anything that may have made
+          one of this worker's chained queues worthy and stealable. A
+          thief that failed a complete scan of this worker skips it
+          while the advert still reads what it read before that scan. *)
+  seen : int array;
+      (** owner-private: per victim, the advert read before the last
+          complete failed scan of that victim (-1 = never scanned) *)
+  sleeping : bool Atomic.t;
+      (** set by this worker before its last recheck ahead of parking;
+          cleared by whichever waker wins the CAS (see [wake]) *)
+  park_lock : Mutex.t;
+  park_cond : Condition.t;  (** this worker alone sleeps here *)
   current_color : int Atomic.t;  (** color being drained; -1 = none *)
   mutable current : color_queue option;  (** owner-private *)
   mutable batch_remaining : int;  (** owner-private *)
@@ -171,14 +184,11 @@ type t = {
   states : worker_state array;
   victims : int list array;  (** per-worker locality victim order *)
   shards : shard array;
-  pending : int Atomic.t;  (** queued events *)
-  park_mutex : Mutex.t;
-  park_cond : Condition.t;  (** idle workers sleep here *)
-  quiesce_cond : Condition.t;
-      (** [quiesce] waiters sleep here — a separate condition so a
-          single-event wakeup [signal] can never be swallowed by a
-          quiescence waiter instead of a worker. *)
-  n_parked : int Atomic.t;
+  pending : int Atomic.t;
+      (** accepted events not yet consumed; read for quiescence, drain
+          and supervision, never to decide whether an idle worker parks *)
+  quiesce_lock : Mutex.t;
+  quiesce_cond : Condition.t;  (** [quiesce] waiters sleep here *)
   n_waiters : int Atomic.t;  (** threads blocked in [quiesce] *)
   on_error : failure_policy;
   shutdown : int Atomic.t;  (** [accepting] / [draining] / [aborted] *)
@@ -275,6 +285,11 @@ let create ?workers ?(worthy_threshold = 2_000) ?(on_error = Swallow) ?trace
             inbox = Atomic.make [];
             deque = Spmc_queue.create ();
             n_chained = Atomic.make 0;
+            advert = Atomic.make 0;
+            seen = Array.make n (-1);
+            sleeping = Atomic.make false;
+            park_lock = Mutex.create ();
+            park_cond = Condition.create ();
             current_color = Atomic.make (-1);
             current = None;
             batch_remaining = 0;
@@ -296,10 +311,8 @@ let create ?workers ?(worthy_threshold = 2_000) ?(on_error = Swallow) ?trace
       Array.init n_shards (fun _ ->
           { sh_lock = Spinlock.create (); sh_tbl = Hashtbl.create 16 });
     pending = Atomic.make 0;
-    park_mutex = Mutex.create ();
-    park_cond = Condition.create ();
+    quiesce_lock = Mutex.create ();
     quiesce_cond = Condition.create ();
-    n_parked = Atomic.make 0;
     n_waiters = Atomic.make 0;
     on_error;
     shutdown = Atomic.make accepting;
@@ -413,40 +426,64 @@ let locate_locked t sh ?home color =
     Hashtbl.replace sh.sh_tbl color cq;
     cq
 
-(* Wake ONE parked worker after publishing a single event — a broadcast
-   here was the thundering herd: every parked worker woke, one got the
-   event, the rest took the condvar round-trip for nothing. Liveness
-   with a single signal relies on the relay in [worker_loop]: a woken
-   worker that cannot consume the pending work itself (wrong owner,
-   color unworthy) re-signals from its backoff loop,
-   so the chain reaches the worker that can. The parked count is only
-   raised under [park_mutex], so taking the mutex here cannot race a
-   worker into a missed sleep. *)
-let wake_parked t =
-  if Atomic.get t.n_parked > 0 then begin
-    Mutex.lock t.park_mutex;
-    Condition.signal t.park_cond;
-    Mutex.unlock t.park_mutex
-  end
+(* Wake [ws]'s domain if it is parked, and say whether this call did.
+   The CAS clears [sleeping] before the signal and elects one waker
+   among racing ones; the sleeper waits only while [sleeping] is still
+   set, under its own lock, so a signal can never fall between its
+   check and its wait. *)
+let wake ws =
+  Atomic.get ws.sleeping
+  && Atomic.compare_and_set ws.sleeping true false
+  && begin
+       Mutex.lock ws.park_lock;
+       Condition.signal ws.park_cond;
+       Mutex.unlock ws.park_lock;
+       true
+     end
 
-(* Transient quiescence only matters to [quiesce] waiters; they have
-   their own condition variable so we never wake idle workers for it. *)
+(* A queue of worker [v]'s may have become worthy and stealable: bump
+   [v]'s advert, then (unless [v]'s own wake already covers the queue)
+   wake the first parked sibling in [v]'s locality order. The bump
+   comes first: a sibling sets [sleeping] before it rechecks adverts,
+   so either it sees the bump or this wake sees it asleep. *)
+let advertise t v ~wake_sibling =
+  Atomic.incr t.states.(v).advert;
+  if wake_sibling then
+    ignore (List.exists (fun s -> wake t.states.(s)) t.victims.(v))
+
+(* Time-left with the penalty already folded into the weights. Plain
+   reads of the weighted pair: a stale value only mis-ranks a queue. *)
+let worthy t cq = cq.weighted_in - cq.weighted_out > t.worthy_threshold
+
 let wake_quiescers t =
-  Mutex.lock t.park_mutex;
+  Mutex.lock t.quiesce_lock;
   Condition.broadcast t.quiesce_cond;
-  Mutex.unlock t.park_mutex
+  Mutex.unlock t.quiesce_lock
 
-(* Unconditional broadcast on both conditions: terminal quiescence,
-   shutdown and abort transitions must reach every sleeper at once. *)
+(* Wake every parked worker and every [quiesce] waiter: terminal
+   quiescence, shutdown, abort, kill, quarantine and death must reach
+   every sleeper. Each such transition is written before this call,
+   and a parking worker rechecks it after setting [sleeping]. *)
 let broadcast_all t =
-  Mutex.lock t.park_mutex;
-  Condition.broadcast t.park_cond;
-  Condition.broadcast t.quiesce_cond;
-  Mutex.unlock t.park_mutex
+  Array.iter (fun ws -> ignore (wake ws)) t.states;
+  wake_quiescers t
 
 let rec inbox_push ws cq =
   let old = Atomic.get ws.inbox in
   if not (Atomic.compare_and_set ws.inbox old (cq :: old)) then inbox_push ws cq
+
+(* Deliver a chained queue to [target]'s inbox and make it reachable: a
+   parked target is woken (it owns the queue and always drains its
+   own), and a worthy queue is advertised to thieves — waking a sibling
+   only if the target was awake already, since a target just woken
+   takes the queue itself. The push precedes the [sleeping] read, the
+   mirror of the parking worker's flag-then-inbox order. *)
+let hand_off t cq target =
+  let ts = t.states.(target) in
+  Atomic.incr ts.n_chained;
+  inbox_push ts cq;
+  let woke = wake ts in
+  if worthy t cq then advertise t target ~wake_sibling:(not woke)
 
 (* Publish one event. The only lock on this path is the color's shard
    lock, held for a hashtable probe plus three atomic stores; there is
@@ -454,10 +491,8 @@ let rec inbox_push ws cq =
    to spin on — a queue found in the map is never mid-steal from the
    publisher's point of view, because owners only change while the
    queue idles in a deque, and [retired] queues are unmapped under the
-   same shard lock we hold. [self] is the publishing worker (-1 when
-   external), used to skip the wakeup when the publisher itself will
-   consume the event next. *)
-let publish t ~self ?home ?(wake = true) event =
+   same shard lock we hold. *)
+let publish t ?home event =
   let sh = shard_of t event.ev_color in
   Spinlock.acquire sh.sh_lock;
   let cq = locate_locked t sh ?home event.ev_color in
@@ -475,34 +510,37 @@ let publish t ~self ?home ?(wake = true) event =
   (* Plain add: serialized by the shard lock, raised before the event
      becomes poppable so the owner's [weighted_out] can never overtake
      it. *)
+  let left = cq.weighted_in - cq.weighted_out in
   cq.weighted_in <- cq.weighted_in + weighted_of event.ev_handler;
+  let crossed = left <= t.worthy_threshold && worthy t cq in
   evq_push cq event;
   Spinlock.release sh.sh_lock;
   (* Hand-off: if the queue is idle (not current, not in any deque or
      inbox), win the [chained] CAS and chain it to its owner. Exactly
      one of {publisher, releasing owner} wins when they race over a
      refilled queue. The owner is re-read after the CAS: holding the
-     chain freezes ownership, so the read cannot be stale. *)
-  let chained_now =
-    (not (Atomic.get cq.chained))
-    && Atomic.compare_and_set cq.chained false true
-  in
-  let owner = Atomic.get cq.owner in
-  let ws = t.states.(owner) in
-  if chained_now then begin
-    Atomic.incr ws.n_chained;
-    inbox_push ws cq
+     chain freezes ownership, so the read cannot be stale. A lost CAS
+     needs no wake: whoever holds the chain is awake or was woken when
+     it was handed the queue. *)
+  if (not (Atomic.get cq.chained)) && Atomic.compare_and_set cq.chained false true
+  then hand_off t cq (Atomic.get cq.owner)
+  else if crossed then begin
+    (* This push made an already chained queue worthy. Unless it is
+       the owner's current color (unstealable), advertise it; a stale
+       [owner] read only bumps the wrong advert. *)
+    let owner = Atomic.get cq.owner in
+    if Atomic.get t.states.(owner).current_color <> event.ev_color then
+      advertise t owner ~wake_sibling:true
   end;
-  (* No wakeup when the publisher is the owner and the event joined the
-     color it is currently draining: the queue is unstealable (it is
-     not in any deque) and this worker will pop it next anyway. In
-     every other case signal one sleeper. If [owner] is stale here the
-     thief that is mid-claim is awake and responsible for the queue, so
-     a skipped signal cannot strand the event. *)
-  if wake && not (self = owner && Atomic.get ws.current_color = event.ev_color)
-  then wake_parked t;
   true
   end
+
+(* Take back [k] admitted events that will never run. Workers park
+   while [pending > 0] with nothing they can take, so whoever drops it
+   to 0 outside a worker must announce the possible quiescence: no
+   worker will observe it on its own. *)
+let unadmit t k =
+  if Atomic.fetch_and_add t.pending (-k) = k then broadcast_all t
 
 (* Admission of [k] events through the shutdown gate. [pending] is
    raised BEFORE any event becomes poppable, so a worker that pops
@@ -517,7 +555,7 @@ let admit t ~internal k =
   ignore (Atomic.fetch_and_add t.pending k);
   let gate = Atomic.get t.shutdown in
   if gate = aborted || (gate = draining && not internal) then begin
-    ignore (Atomic.fetch_and_add t.pending (-k));
+    unadmit t k;
     ignore (Atomic.fetch_and_add t.refused k);
     false
   end
@@ -525,16 +563,15 @@ let admit t ~internal k =
 
 (* An admitted event refused at its queue: the color is poisoned. *)
 let refuse_admitted t =
-  Atomic.decr t.pending;
+  unadmit t 1;
   Atomic.incr t.refused
 
-(* The single-event path: no list, one gate decision, one wakeup. *)
-let enqueue t ~internal ~self ?home event =
+(* The single-event path: no list, one gate decision. *)
+let enqueue t ~internal ?home event =
   (* Always stamped: the telemetry plane's queue-wait histograms need
      it even when the flight recorder is off. *)
   event.ev_enq <- Clock.now_ns ();
-  admit t ~internal 1
-  && (publish t ~self ?home event || (refuse_admitted t; false))
+  admit t ~internal 1 && (publish t ?home event || (refuse_admitted t; false))
 
 let make_event ~handler ~color run =
   { ev_handler = handler; ev_color = color; ev_run = run; ev_seq = 0; ev_enq = 0L }
@@ -543,33 +580,20 @@ let make_event ~handler ~color run =
    argument error differs. *)
 let try_register_as name t ?(color = default_color) ?home ~handler run =
   if color < 0 then invalid_arg ("Rt.Runtime." ^ name ^ ": color must be >= 0");
-  enqueue t ~internal:false ~self:(-1) ?home (make_event ~handler ~color run)
+  enqueue t ~internal:false ?home (make_event ~handler ~color run)
 
 let try_register t = try_register_as "try_register" t
 
 let register t ?color ~handler run =
   ignore (try_register_as "register" t ?color ~handler run)
 
-(* Wake up to [k] parked workers with one mutex round-trip — the batch
-   counterpart of [wake_parked]. Signaling more than [n] sleepers is
-   pointless; signaling fewer than the batch size is safe because the
-   backoff relay re-signals while work is pending. *)
-let wake_parked_n t k =
-  if k > 0 && Atomic.get t.n_parked > 0 then begin
-    Mutex.lock t.park_mutex;
-    let signals = min k t.n in
-    for _ = 1 to signals do
-      Condition.signal t.park_cond
-    done;
-    Mutex.unlock t.park_mutex
-  end
-
-(* Batched external injection: one shutdown-gate decision and one
-   wakeup round-trip for the whole batch, instead of one per event —
-   the per-event path is what a poller shard would otherwise pay once
-   per readiness on every epoll_wait return. All-or-nothing at the
-   gate: either every event is admitted (and published in list order,
-   so per-color FIFO is preserved) or the whole batch counts as
+(* Batched external injection: one shutdown-gate decision for the
+   whole batch, instead of one per event — the per-event path is what
+   a poller shard would otherwise pay once per readiness on every
+   epoll_wait return. Wakes are per hand-off, as in [publish]: only a
+   parked worker that was handed a queue is woken. All-or-nothing at
+   the gate: either every event is admitted (and published in list
+   order, so per-color FIFO is preserved) or the whole batch counts as
    refused. *)
 let try_register_batch t ?home items =
   match items with
@@ -589,9 +613,8 @@ let try_register_batch t ?home items =
           event.ev_enq <- Clock.now_ns ();
           (* A poisoned color refuses its events individually; the
              rest of the batch still lands. *)
-          if not (publish t ~self:(-1) ?home ~wake:false event) then refuse_admitted t)
+          if not (publish t ?home event) then refuse_admitted t)
         items;
-      wake_parked_n t k;
       true
     end
 
@@ -601,7 +624,7 @@ let try_register_batch t ?home items =
    follow-up is counted in its own shard. *)
 let register_internal t ~self ~color ~handler run =
   if color < 0 then invalid_arg "Rt.Runtime.register: color must be >= 0";
-  if enqueue t ~internal:true ~self (make_event ~handler ~color run) then begin
+  if enqueue t ~internal:true (make_event ~handler ~color run) then begin
     let c = t.states.(self).counters in
     c.enqueued <- c.enqueued + 1
   end
@@ -627,6 +650,14 @@ let forget_if_drained t cq =
           Hashtbl.remove sh.sh_tbl cq.color
         | _ -> ())
 
+(* The owner puts its own queue back in rotation (release with refill,
+   batch rotation): the queue turns stealable, so a worthy one is
+   advertised. *)
+let chain_own t w ws cq =
+  Atomic.incr ws.n_chained;
+  Spmc_queue.push ws.deque cq;
+  if worthy t cq then advertise t w ~wake_sibling:true
+
 (* Release the drained current queue. Clearing [chained] re-opens the
    hand-off; the refill recheck closes the race with a publisher that
    pushed between our last pop and the clear: whoever wins the CAS
@@ -634,14 +665,12 @@ let forget_if_drained t cq =
    nothing. SC atomics guarantee one side sees the other: if our
    recheck misses the push, the publisher's CAS comes after our clear
    and wins. *)
-let release_current t ws cq =
+let release_current t w ws cq =
   ws.current <- None;
   Atomic.set ws.current_color (-1);
   Atomic.set cq.chained false;
-  if cq_len cq > 0 && Atomic.compare_and_set cq.chained false true then begin
-    Atomic.incr ws.n_chained;
-    Spmc_queue.push ws.deque cq
-  end
+  if cq_len cq > 0 && Atomic.compare_and_set cq.chained false true then
+    chain_own t w ws cq
   else forget_if_drained t cq
 
 (* Move inbox arrivals into the deque (reversed: the Treiber stack is
@@ -672,16 +701,15 @@ let make_current ws cq =
    its events is executing, or same-color mutual exclusion would break.
    Rotating at the pop boundary keeps the invariant: a queue is either
    current (unstealable) or in a deque (no event of it running). *)
-let rec next_event t ws =
+let rec next_event t w ws =
   match ws.current with
   | Some cq ->
     if ws.batch_remaining <= 0 && cq_len cq > 0 then begin
       (* Rotate to the back of the deque to prevent starvation. *)
       ws.current <- None;
       Atomic.set ws.current_color (-1);
-      Atomic.incr ws.n_chained;
-      Spmc_queue.push ws.deque cq;
-      next_event t ws
+      chain_own t w ws cq;
+      next_event t w ws
     end
     else begin
       match evq_pop cq with
@@ -690,8 +718,8 @@ let rec next_event t ws =
         ws.batch_remaining <- ws.batch_remaining - 1;
         Some (ev, cq)
       | None ->
-        release_current t ws cq;
-        next_event t ws
+        release_current t w ws cq;
+        next_event t w ws
     end
   | None -> (
     drain_inbox ws;
@@ -699,7 +727,7 @@ let rec next_event t ws =
     | Some cq ->
       Atomic.decr ws.n_chained;
       make_current ws cq;
-      next_event t ws
+      next_event t w ws
     | None -> None)
 
 (* Escalate the shutdown gate to [aborted] (it only ever rises within an
@@ -771,18 +799,27 @@ let execute t w ctx (cq : color_queue) event ~t0 =
   if !die_after then raise Worker_killed;
   t1
 
-(* Queues a thief may pass over as unworthy in a victim's deque before
-   it gives up on the deque and looks at the victim's inbox instead. *)
-let steal_scan_budget = 16
+(* The pure core of the inbox probe: split a Treiber-stack image
+   (newest first) into its oldest element satisfying [pred] — the color
+   the owner has waited longest to serve — and the rest, still newest
+   first. *)
+let split_stack ~newest_first pred =
+  let rec go = function
+    | [] -> (None, [])
+    | x :: tl -> (
+      match go tl with
+      | (Some _ as found), rest -> (found, x :: rest)
+      | None, rest -> if pred x then (Some x, rest) else (None, x :: rest))
+  in
+  go newest_first
 
 (* Claim one worthy queue out of the victim's inbox. Without this,
    freshly published colors would be invisible to thieves until the
    owner's next color switch moves them into its deque — on a loaded
-   owner that window is exactly when stealing matters. Taking the whole
-   Treiber stack is safe: the queues stay [chained] throughout, and the
-   owner cannot park meanwhile because their events keep [pending]
-   positive. The claim is the oldest worthy queue, the color the owner
-   has waited longest to serve.
+   owner that window is exactly when stealing matters. The probe reads
+   before it writes: the list is immutable, so a walk of one
+   [Atomic.get] decides, and only an inbox holding a worthy queue is
+   exchanged. The queues stay [chained] throughout.
 
    The unclaimed rest goes back in ONE CAS, appended underneath
    whatever was pushed concurrently: the rest is older than any
@@ -790,44 +827,41 @@ let steal_scan_budget = 16
    [cur @ rest] keeps the stack newest-first as a whole AND preserves
    the rest's internal order. Re-pushing one element at a time would
    let a concurrent push land *between* two restored queues and shuffle
-   their relative age — the order regression test pins this down. *)
+   their relative age — the order regression test pins this down. The
+   owner may have rechecked its inbox while we held the rest and
+   parked, so the restore ends with a wake, exactly like a hand-off. *)
 let steal_inbox vs pred =
-  match Atomic.get vs.inbox with
-  | [] -> None
-  | _ -> (
-    match Atomic.exchange vs.inbox [] with
-    | [] -> None
-    | got ->
-      let claimed, rest = Policy.split_stack ~newest_first:got ~max_take:1 pred in
-      if rest <> [] then begin
-        let rec restore () =
-          let cur = Atomic.get vs.inbox in
-          if not (Atomic.compare_and_set vs.inbox cur (cur @ rest)) then restore ()
-        in
-        restore ()
-      end;
-      List.nth_opt claimed 0)
+  if not (List.exists pred (Atomic.get vs.inbox)) then None
+  else
+    match split_stack ~newest_first:(Atomic.exchange vs.inbox []) pred with
+    | claimed, [] -> claimed
+    | claimed, rest ->
+      let rec restore () =
+        let cur = Atomic.get vs.inbox in
+        if not (Atomic.compare_and_set vs.inbox cur (cur @ rest)) then restore ()
+      in
+      restore ();
+      ignore (wake vs);
+      claimed
 
 (* Steal one color-queue from [victim] into [w] (the Mely thief: one
    queue per winning probe); returns the visit outcome — [Won] on
-   success, otherwise why the victim yielded nothing. A queue is worthy
-   when its remaining weighted cycles exceed the threshold (time-left,
-   with the penalty already folded into the weights); plain reads of
-   the weighted pair suffice, a stale value only mis-ranks a candidate.
-   No lock is taken on either side: the claim is one CAS on the deque
-   slot (or the inbox exchange), and that is the ownership
-   linearization point — the victim stopped touching the queue when it
-   chained it, so the winner may immediately write [owner] and start
-   draining. The claimed queue becomes the thief's current directly,
-   with no inbox/deque round-trip. The queue the victim is currently
-   executing is never in its deque or inbox, so the same-color
-   exclusion invariant is structural, not lock-guarded. *)
+   success, otherwise why the victim yielded nothing. The deque scan
+   has no budget: a failed probe is complete, which is what lets the
+   thief skip this victim until its advert moves. No lock is taken on
+   either side: the claim is one CAS on the deque slot (or the inbox
+   exchange), and that is the ownership linearization point — the
+   victim stopped touching the queue when it chained it, so the winner
+   may immediately write [owner] and start draining. The claimed queue
+   becomes the thief's current directly, with no inbox/deque
+   round-trip. The queue the victim is currently executing is never in
+   its deque or inbox, so the same-color exclusion invariant is
+   structural, not lock-guarded. *)
 let steal_from t w victim =
   let vs = t.states.(victim) in
-  let worthy cq = cq.weighted_in - cq.weighted_out > t.worthy_threshold in
   let claimed =
-    match Spmc_queue.steal vs.deque ~budget:steal_scan_budget worthy with
-    | None -> steal_inbox vs worthy
+    match Spmc_queue.steal vs.deque (worthy t) with
+    | None -> steal_inbox vs (worthy t)
     | found -> found
   in
   match claimed with
@@ -842,17 +876,31 @@ let steal_from t w victim =
     Telemetry.on_steal t.telemetry ~thief:w ~victim;
     Trace.Won
 
-(* One steal round: probe victims in the fixed locality order until one
-   yields a queue. The per-visit counter and (when tracing) the Visit
-   span make the ordering auditable per probe; with tracing off the
-   round reads no clock. *)
+(* One steal round: walk victims in the fixed locality order until one
+   yields a queue, skipping (as a [Quiet] visit) each victim whose
+   advert has not moved since this worker's last complete failed scan
+   of it — one load, no deque scan, no inbox traffic. The per-visit
+   counter and (when tracing) the Visit span make the ordering
+   auditable per probe; with tracing off the round reads no clock. *)
 let try_steal t w =
-  let c = t.states.(w).counters in
+  let ws = t.states.(w) in
+  let c = ws.counters in
   c.steal_rounds <- c.steal_rounds + 1;
   let rec visit = function
     | [] -> false
     | victim :: rest -> (
-      let outcome = steal_from t w victim in
+      (* Read before the probe: a bump racing the scan then leaves
+         [seen] behind the advert, and the next round probes again. *)
+      let advert = Atomic.get t.states.(victim).advert in
+      let outcome =
+        if advert = ws.seen.(victim) then Trace.Quiet
+        else
+          match steal_from t w victim with
+          | Trace.Won -> Trace.Won
+          | missed ->
+            ws.seen.(victim) <- advert;
+            missed
+      in
       c.visits <- c.visits + 1;
       (match t.trace with
       | Some tr -> Trace.record_visit tr ~worker:w ~victim ~outcome ~ns:(Clock.now_ns ())
@@ -862,13 +910,6 @@ let try_steal t w =
   let won = visit t.victims.(w) in
   if not won then c.failed_attempts <- c.failed_attempts + 1;
   won
-
-(* Idle policy: exponential backoff while unstealable work is pending
-   elsewhere, park on the condition variable when nothing is pending at
-   all (an executing handler may still register follow-ups; its enqueue
-   wakes us). Every worker broadcasts once it observes quiescence so
-   parked siblings re-check and exit. *)
-let max_idle_backoff = 4_096
 
 (* Events currently executing on slots that still have a live domain.
    Replaces the old global [active] counter: a busy bit stuck on a
@@ -894,38 +935,58 @@ let live_active t =
     t.states;
   !n
 
-(* Sleep while there is nothing for this worker to do. The predicate
-   folds all three modes together: wait while no work is poppable AND
-   either someone is still executing (their follow-ups may wake us) or
-   the runtime is serving with no stop requested (quiescent but alive).
-   An abort, a deliberate kill or a quarantine request always breaks
-   the sleep. *)
+(* Nothing left to wait for: no stop-free serving epoch, nothing
+   pending, nothing executing. The gate is read before [pending]: a
+   register that saw [accepting] raised [pending] before the gate
+   closed, so a worker that saw it closed cannot then miss the event
+   and abandon it. [pending] is read before the busy slots, which
+   raise [busy_since] before they decrement it. *)
+let terminal t =
+  (not (Atomic.get t.serving && Atomic.get t.shutdown = accepting))
+  && Atomic.get t.pending = 0
+  && live_active t = 0
+
+(* The parking worker's recheck, made after it set [sleeping]. Each
+   disjunct is the mirror of a writer that writes first and then reads
+   [sleeping] to wake it: a hand-off or inbox restore ([inbox]), an
+   advert bump ([advert]), abort/kill/quarantine, and the last step to
+   quiescence. Only other parties push into the inbox; the deque is
+   pushed by this worker alone and was empty when [next_event] gave
+   up. Adverts matter only while something is pending: with nothing
+   pending there is nothing to steal, and [seen] goes stale. *)
+let stay_awake t w ws =
+  Atomic.get t.shutdown = aborted
+  || Atomic.get ws.kill_flag
+  || Atomic.get ws.q_state <> q_normal
+  || Atomic.get ws.inbox <> []
+  || Atomic.get t.pending > 0
+     && List.exists
+          (fun v -> Atomic.get t.states.(v).advert <> ws.seen.(v))
+          t.victims.(w)
+  || terminal t
+
+(* Idle policy: a worker with nothing of its own parks as soon as a
+   steal round finds no victim advertising worthy work, whatever
+   [pending] says. It sleeps on its own condition variable until a
+   waker clears [sleeping]: a hand-off to it, an advert bump by a
+   victim with it first in line, or a broadcast. There is no spin and
+   no timed sleep; a missed advert bump costs parallelism, never
+   liveness, because an owner always drains its own queues. *)
 let park t w ws =
-  Mutex.lock t.park_mutex;
-  Atomic.incr t.n_parked;
-  let t0 = Clock.now_ns () in
-  let slept = ref false in
-  while
-    Atomic.get t.shutdown <> aborted
-    && (not (Atomic.get ws.kill_flag))
-    && Atomic.get ws.q_state = q_normal
-    && Atomic.get t.pending = 0
-    && (live_active t > 0
-       || (Atomic.get t.serving && Atomic.get t.shutdown = accepting))
-  do
-    if not !slept then begin
-      (* Counted on falling asleep, so a parked worker shows in
-         snapshots while it still is; the time is added after waking. *)
-      slept := true;
-      ws.counters.parks <- ws.counters.parks + 1;
-      ws.counters.parked_now <- true
-    end;
-    Condition.wait t.park_cond t.park_mutex
-  done;
-  Atomic.decr t.n_parked;
-  Mutex.unlock t.park_mutex;
-  if !slept then begin
+  Atomic.set ws.sleeping true;
+  if stay_awake t w ws then Atomic.set ws.sleeping false
+  else begin
+    (* Counted on falling asleep, so a parked worker shows in
+       snapshots while it still is; the time is added after waking. *)
     let c = ws.counters in
+    let t0 = Clock.now_ns () in
+    c.parks <- c.parks + 1;
+    c.parked_now <- true;
+    Mutex.lock ws.park_lock;
+    while Atomic.get ws.sleeping do
+      Condition.wait ws.park_cond ws.park_lock
+    done;
+    Mutex.unlock ws.park_lock;
     c.parked_now <- false;
     c.park_seconds <- c.park_seconds +. Clock.elapsed_seconds ~since:t0;
     match t.trace with
@@ -946,7 +1007,7 @@ let worker_loop t w =
   (match t.trace with
   | Some tr -> Trace.record_start tr ~worker:w ~ns:(Clock.now_ns ())
   | None -> ());
-  let rec loop backoff =
+  let rec loop () =
     if Atomic.get t.shutdown = aborted then
       (* Exit without draining; wake siblings (and [stop]/[quiesce]
          waiters) so they notice the abort too. *)
@@ -967,7 +1028,7 @@ let worker_loop t w =
         ignore (Atomic.compare_and_set ws.q_state q_requested q_acked);
         raise Worker_quarantined
       | _ -> ());
-      match next_event t ws with
+      match next_event t w ws with
       | Some (event, cq) ->
         (* The busy stamp is raised before [pending] drops (SC): an
            observer seeing [pending = 0] sees this slot busy, so
@@ -990,49 +1051,28 @@ let worker_loop t w =
           | Faults.Pass -> ()
           | _ -> raise Worker_killed
         end;
-        loop 1
+        loop ()
       | None ->
-        if Atomic.get t.pending > 0 && try_steal t w then loop 1
-        else if Atomic.get t.pending > 0 then begin
-          (* Work exists but is not (yet) stealable: bounded backoff.
-             Relay the single-signal wakeup while we spin — if we were
-             woken for work we turn out to be unable to take (wrong
-             owner and unworthy/unstealable), the signal must not die
-             with us while the responsible worker sleeps. *)
-          wake_parked t;
-          for _ = 1 to backoff do
-            Domain.cpu_relax ()
-          done;
-          loop (min max_idle_backoff (backoff * 2))
-        end
-        else if live_active t > 0 then begin
-          park t w ws;
-          loop 1
-        end
-        else if Atomic.get t.serving && Atomic.get t.shutdown = accepting then begin
-          (* Transient quiescence: the runtime stays up for the next
-             burst. Only [quiesce] waiters care about this moment —
-             they have their own condition variable, so parked sibling
-             workers are not woken just to ping-pong back to sleep. *)
-          if Atomic.get t.n_waiters > 0 then wake_quiescers t;
-          park t w ws;
-          loop 1
-        end
-        else if Atomic.get t.pending > 0 || live_active t > 0 then
-          (* Re-check quiescence now that the closed gate has been
-             observed: a register can raise [pending] after our first
-             read yet still see [accepting] — but only if its increment
-             precedes the gate transition, so this read (after the
-             transition) cannot miss it. Without it the accepted event
-             would be abandoned by the exiting workers. *)
-          loop 1
-        else
+        if Atomic.get t.pending > 0 && try_steal t w then loop ()
+        else if terminal t then
           (* Terminal quiescence: wake parked siblings and [quiesce]
              waiters so they observe it and exit too. *)
           broadcast_all t
+        else begin
+          (* Transient quiescence in a serving epoch only matters to
+             [quiesce] waiters; they have their own condition variable,
+             so parked siblings are not woken to ping-pong back. *)
+          if
+            Atomic.get t.n_waiters > 0
+            && Atomic.get t.pending = 0
+            && live_active t = 0
+          then wake_quiescers t;
+          park t w ws;
+          loop ()
+        end
     end
   in
-  loop 1
+  loop ()
 
 (* ------------------------------------------------------------------ *)
 (* Self-healing: death wrapper, color migration, supervisor domain.    *)
@@ -1082,12 +1122,12 @@ let worker_main t w =
 (* Re-home one color-queue onto [target]. The ownership store comes
    before the inbox push, exactly as in [steal_from], so whoever later
    claims the queue synchronizes after it; [chained] stays true the
-   whole way, so a racing publisher cannot double-chain it. *)
+   whole way, so a racing publisher cannot double-chain it. The
+   hand-off wakes a parked target and advertises a worthy queue, like
+   a publish. *)
 let rehome t cq target =
   Atomic.set cq.owner target;
-  let ts = t.states.(target) in
-  Atomic.incr ts.n_chained;
-  inbox_push ts cq;
+  hand_off t cq target;
   Atomic.incr t.migration_count
 
 (* Sweep every color off slot [w] and migrate it to survivors,
@@ -1117,7 +1157,6 @@ let reclaim_slot t w =
       incr ti;
       v
     in
-    let moved = ref 0 in
     (match ws.current with
     | Some cq ->
       (* The in-flight queue: safe to take, the domain is gone (a
@@ -1127,8 +1166,7 @@ let reclaim_slot t w =
       ws.current <- None;
       Atomic.set ws.current_color (-1);
       Atomic.incr t.reclaim_count;
-      rehome t cq (next_target ());
-      incr moved
+      rehome t cq (next_target ())
     | None -> ());
     let rec drain_deque () =
       match Spmc_queue.pop ws.deque with
@@ -1136,7 +1174,6 @@ let reclaim_slot t w =
         Atomic.decr ws.n_chained;
         Atomic.incr t.reclaim_count;
         rehome t cq (next_target ());
-        incr moved;
         drain_deque ()
       | None -> ()
     in
@@ -1148,10 +1185,8 @@ let reclaim_slot t w =
         (fun cq ->
           Atomic.decr ws.n_chained;
           Atomic.incr t.reclaim_count;
-          rehome t cq (next_target ());
-          incr moved)
+          rehome t cq (next_target ()))
         (List.rev got));
-    if !moved > 0 then wake_parked_n t !moved;
     true
 
 let spawn_worker t w =
@@ -1348,23 +1383,23 @@ let spawn_all t =
   t.monitor <- Some (Domain.spawn (fun () -> monitor_loop t))
 
 (* Wait for a moment of quiescence without stopping. Workers broadcast
-   [quiesce_cond] (under the park mutex) every time they observe
+   [quiesce_cond] (under [quiesce_lock]) every time they observe
    [pending = 0] with nothing executing on a live slot and waiters
    present, and terminal quiescence / abort / worker death broadcast
    unconditionally, so the predicate here cannot miss its wakeup.
    Counting only *live* slots is what keeps a drain from hanging on a
    worker that died mid-drain (its colors finish on survivors). *)
 let quiesce t =
-  Mutex.lock t.park_mutex;
+  Mutex.lock t.quiesce_lock;
   Atomic.incr t.n_waiters;
   while
     Atomic.get t.shutdown <> aborted
     && not (Atomic.get t.pending = 0 && live_active t = 0)
   do
-    Condition.wait t.quiesce_cond t.park_mutex
+    Condition.wait t.quiesce_cond t.quiesce_lock
   done;
   Atomic.decr t.n_waiters;
-  Mutex.unlock t.park_mutex
+  Mutex.unlock t.quiesce_lock
 
 let run_until_idle t =
   Mutex.lock t.lifecycle_lock;

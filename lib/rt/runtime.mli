@@ -84,8 +84,9 @@ val create :
   t
 (** [workers] defaults to [Domain.recommended_domain_count () - 1],
     at least 1. The steal decision is fixed: an idle worker probes
-    victims in {!Hw.Topology} locality order (nearest cache first) and
-    claims one color-queue per winning probe, taking only a queue whose
+    victims in {!Hw.Topology} locality order (nearest cache first),
+    skipping one whose worthy-work advert has not moved since it last
+    found nothing there, and claims one color-queue per winning probe, taking only a queue whose
     remaining weighted declared cycles exceed [worthy_threshold]
     (default [2_000], must be >= 0) — declared cycles as given to
     {!handler}, divided by its penalty. [on_error] (default [Swallow])
@@ -129,8 +130,10 @@ val try_register_batch :
   t -> ?home:int -> (int * handler * (ctx -> unit)) list -> bool
 (** Inject a batch of events — [(color, handler, run)] in list order,
     so two events of the same color keep their relative order — with
-    one shutdown-gate decision and one worker-wakeup round-trip for
-    the whole batch. All-or-nothing: [false] means the gate refused
+    one shutdown-gate decision for the whole batch. As with single
+    registers, only a parked worker handed a queue is woken (once),
+    plus one parked sibling when a worthy queue lands on a busy
+    worker. All-or-nothing: [false] means the gate refused
     every event in the batch (each counted in {!refused}). [home] as
     in {!try_register}, applied to every queue the batch creates.
     Conservation is per event, exactly as if each had gone through
@@ -141,9 +144,11 @@ val run_until_idle : t -> unit
     [Invalid_argument] if the runtime is already running. Can be called
     again after it returns.
 
-    Idle workers use bounded exponential backoff while unstealable work
-    is pending elsewhere, and park on a condition variable when nothing
-    is pending at all; enqueues wake them. *)
+    An idle worker never spins: once a steal round finds no sibling
+    advertising worthy work it parks on its own condition variable,
+    even while unstealable work is pending elsewhere. It is woken when
+    a queue is handed to it, when a sibling advertises a worthy queue
+    with it first in line, or at shutdown and quiescence. *)
 
 (** {1 Serving lifecycle}
 
@@ -284,3 +289,11 @@ val debug_check_conservation : t -> string option
     colors remain chained. Returns [Some message] describing the first
     violation, [None] if the invariants hold. Intended for tests and
     debugging. *)
+
+val split_stack : newest_first:'a list -> ('a -> bool) -> 'a option * 'a list
+(** The pure core of a thief's inbox probe, exposed so its order
+    argument can be tested without domains: [split_stack ~newest_first
+    pred] splits a Treiber-stack image (newest first, as exchanged out
+    of an inbox) into its oldest element satisfying [pred] — the one
+    the thief claims — and the rest, still newest first, ready to be
+    appended under concurrent pushes with a single CAS. *)

@@ -101,8 +101,8 @@ let counters t ~worker = t.shards.(worker).c
 let on_exec t ~worker ~qwait_ns ~service_ns =
   let s = t.shards.(worker) in
   let epoch = Atomic.get t.epoch in
-  Mstd.Histogram.Windowed.add s.qwait ~epoch (float_of_int qwait_ns);
-  Mstd.Histogram.Windowed.add s.service ~epoch (float_of_int service_ns);
+  Mstd.Histogram.Windowed.add_int s.qwait ~epoch qwait_ns;
+  Mstd.Histogram.Windowed.add_int s.service ~epoch service_ns;
   s.qwait_sum_ns <- s.qwait_sum_ns + qwait_ns;
   s.service_sum_ns <- s.service_sum_ns + service_ns;
   s.c.executed <- s.c.executed + 1

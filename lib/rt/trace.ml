@@ -28,12 +28,14 @@ type visit_outcome =
   | Empty
   | Unworthy
   | Executing
+  | Quiet
 
 let visit_outcome_name = function
   | Won -> "won"
   | Empty -> "empty"
   | Unworthy -> "unworthy"
   | Executing -> "executing"
+  | Quiet -> "quiet"
 
 type span =
   | Exec of exec
@@ -135,8 +137,8 @@ let record_exec t ~worker ~handler ~color ~seq ~enq_ns ~start_ns ~end_ns =
        });
   if t.cfg.histograms then begin
     let l = lat_for rec_ handler in
-    Mstd.Histogram.add l.queue_wait (Int64.to_float (Int64.sub start_ns enq_ns));
-    Mstd.Histogram.add l.service (Int64.to_float (Int64.sub end_ns start_ns))
+    Mstd.Histogram.add_int l.queue_wait (Int64.to_int (Int64.sub start_ns enq_ns));
+    Mstd.Histogram.add_int l.service (Int64.to_int (Int64.sub end_ns start_ns))
   end
 
 let record_visit t ~worker ~victim ~outcome ~ns =

@@ -23,7 +23,7 @@ type exec = {
   x_end : int64;  (** handler end (ns); service time is [x_end - x_start] *)
 }
 
-(** Outcome of probing one victim during a steal round. In the
+(** Outcome of visiting one victim during a steal round. In the
     lock-free runtime a lost steal race shows up as [Empty] or
     [Unworthy] — there is no lock to find busy. *)
 type visit_outcome =
@@ -31,6 +31,9 @@ type visit_outcome =
   | Empty  (** the victim had no queued events *)
   | Unworthy  (** candidates existed but none passed the worthiness bar *)
   | Executing  (** the only worthy candidates were the victim's current color *)
+  | Quiet
+      (** not probed: the victim's worthy-work advert had not moved
+          since this thief's last complete failed scan of it *)
 
 val visit_outcome_name : visit_outcome -> string
 

@@ -14,7 +14,6 @@ let () =
       ("httpkit", Test_httpkit.suite);
       ("rt", Test_rt.suite);
       ("spmc", Test_spmc.suite);
-      ("rt-policy", Test_rt_policy.suite);
       ("rt-stress", Test_rt_stress.suite);
       ("rt-trace", Test_rt_trace.suite);
       ("rt-telemetry", Test_rt_telemetry.suite);

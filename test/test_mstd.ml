@@ -103,6 +103,43 @@ let test_histogram_quantile () =
   Alcotest.(check bool) "p50 small" true (Mstd.Histogram.quantile h 0.5 < 100.0);
   Alcotest.(check bool) "p99 large" true (Mstd.Histogram.quantile h 0.99 > 1_000.0)
 
+(* The integer bucket path must agree with the float path wherever
+   [float_of_int] is exact: 0, 1, and both sides of every power of two.
+   At the telemetry plane's 48 buckets every larger value clamps to the
+   top bucket on both paths, max_int included; with 64 buckets the
+   float path rounds 2^k - 1 up to 2^k once k > 53, so the check stops
+   there. *)
+let test_histogram_int_buckets () =
+  let module H = Mstd.Histogram in
+  let check_agree h ~max_k =
+    let same v =
+      Alcotest.(check int)
+        (Printf.sprintf "%d buckets, value %d" (H.bucket_count h) v)
+        (H.bucket_of h (float_of_int v))
+        (H.bucket_of_int h v)
+    in
+    List.iter same [ -5; 0; 1 ];
+    for k = 1 to max_k do
+      same ((1 lsl k) - 1);
+      same (1 lsl k)
+    done
+  in
+  let telemetry = H.create ~buckets:48 () in
+  check_agree telemetry ~max_k:61;
+  Alcotest.(check int) "max_int clamps like the float path"
+    (H.bucket_of telemetry (float_of_int max_int))
+    (H.bucket_of_int telemetry max_int);
+  check_agree (H.create ()) ~max_k:53;
+  let a = H.create ~buckets:48 () and b = H.create ~buckets:48 () in
+  List.iter
+    (fun v ->
+      H.add a (float_of_int v);
+      H.add_int b v)
+    [ 0; 3; 1_000; 65_535; 1 lsl 40; max_int ];
+  for i = 0 to 47 do
+    Alcotest.(check int) (Printf.sprintf "bucket %d" i) (H.bucket_value a i) (H.bucket_value b i)
+  done
+
 let test_table_render () =
   let t = Mstd.Table.create ~headers:[ "a"; "b" ] in
   Mstd.Table.add_row t [ "x"; "1" ];
@@ -277,6 +314,7 @@ let suite =
     Alcotest.test_case "heap orders" `Quick test_heap_orders;
     QCheck_alcotest.to_alcotest prop_heap_sorted;
     Alcotest.test_case "histogram quantile" `Quick test_histogram_quantile;
+    Alcotest.test_case "histogram int buckets" `Quick test_histogram_int_buckets;
     Alcotest.test_case "histogram windowed epochs" `Quick test_histogram_windowed;
     Alcotest.test_case "json round-trip + accessors" `Quick test_json_roundtrip;
     Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;

@@ -195,6 +195,30 @@ let test_spinlock () =
   List.iter Domain.join domains;
   Alcotest.(check int) "atomic increments" 40_000 !counter
 
+(* The inbox split without domains: [Rt.Runtime.split_stack] is the
+   pure core of the thief's inbox probe. The regression this locks
+   down: the claim is the oldest worthy queue, and the unclaimed rest
+   keeps its newest-first stack order — so the single-CAS re-push
+   preserves the relative age of everything it returns, instead of
+   reversing it the way one-at-a-time re-pushes did. *)
+let test_split_stack () =
+  (* Stack image of pushes 1,2,3,4,5: newest first. *)
+  let stack = [ 5; 4; 3; 2; 1 ] in
+  let claimed, rest =
+    Rt.Runtime.split_stack ~newest_first:stack (fun v -> v mod 2 = 0)
+  in
+  Alcotest.(check (option int)) "claims the oldest match" (Some 2) claimed;
+  Alcotest.(check (list int)) "unclaimed worthy stays put" [ 5; 4; 3; 1 ] rest;
+  let claimed, rest = Rt.Runtime.split_stack ~newest_first:stack (fun _ -> true) in
+  Alcotest.(check (option int)) "all match: oldest first" (Some 1) claimed;
+  Alcotest.(check (list int)) "rest keeps stack order" [ 5; 4; 3; 2 ] rest;
+  let claimed, rest = Rt.Runtime.split_stack ~newest_first:stack (fun _ -> false) in
+  Alcotest.(check (option int)) "no match claims nothing" None claimed;
+  Alcotest.(check (list int)) "and the image survives intact" stack rest;
+  let claimed, rest = Rt.Runtime.split_stack ~newest_first:[] (fun _ -> true) in
+  Alcotest.(check (option int)) "empty stack" None claimed;
+  Alcotest.(check (list int)) "nothing left" [] rest
+
 let suite =
   [
     Alcotest.test_case "executes everything" `Quick test_executes_everything;
@@ -208,4 +232,5 @@ let suite =
     Alcotest.test_case "worthy threshold param" `Quick test_worthy_threshold_param;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
     Alcotest.test_case "spinlock" `Quick test_spinlock;
+    Alcotest.test_case "split_stack order preservation" `Quick test_split_stack;
   ]

@@ -536,6 +536,110 @@ let test_park_wake_storm () =
       (parks > 0)
   done
 
+(* ------------------------------------------------------------------ *)
+(* Idle policy: per-worker parking behind the worthy-work advert.      *)
+
+(* Poll [cond] every 0.5 ms for at most [seconds]. The tests below only
+   wait on what must eventually happen; they assert no timing. *)
+let await ?(seconds = 20.0) cond =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go () =
+    cond () || (Unix.gettimeofday () < deadline && (Unix.sleepf 5e-4; go ()))
+  in
+  go ()
+
+(* Wedge deadlines far beyond any wait here: the deliberately blocked
+   handler must not be quarantined by the supervisor mid-test. *)
+let patient = { Rt.Supervision.default_config with wedge_warn_ns = 60_000_000_000;
+                wedge_kill_ns = 120_000_000_000 }
+
+(* A 2-worker serving runtime with worker 0 blocked inside a handler
+   until [f] returns and three unworthy events queued behind it on
+   worker 0. All four are registered before the workers start, so
+   [pending > 0] from worker 1's first look until [f] returns. [f]
+   returns how many events it added. *)
+let with_blocked_owner f =
+  let rt = Rt.Runtime.create ~workers:2 ~supervision:patient () in
+  let small = Rt.Runtime.handler rt ~name:"small" ~declared_cycles:1 () in
+  let latch = Atomic.make false and blocked_on = Atomic.make (-1) in
+  let ran = Atomic.make 0 in
+  let reg color run =
+    Alcotest.(check bool) "accepted" true
+      (Rt.Runtime.try_register rt ~color ~home:0 ~handler:small run)
+  in
+  reg 2 (fun ctx ->
+      Atomic.set blocked_on ctx.worker;
+      ignore (await (fun () -> Atomic.get latch));
+      Atomic.incr ran);
+  List.iter (fun color -> reg color (fun _ -> Atomic.incr ran)) [ 4; 6; 8 ];
+  Rt.Runtime.start rt;
+  Alcotest.(check bool) "worker 0 entered the blocking handler" true
+    (await (fun () -> Atomic.get blocked_on >= 0));
+  Alcotest.(check int) "the unworthy blocker ran on its owner" 0 (Atomic.get blocked_on);
+  let extra = f rt in
+  Atomic.set latch true;
+  Rt.Runtime.quiesce rt;
+  Rt.Runtime.stop rt;
+  Alcotest.(check int) "the blocked owner's events ran" 4 (Atomic.get ran);
+  Alcotest.(check int) "conservation" (4 + extra) (Rt.Runtime.executed rt)
+
+(* An idle worker must not spin just because something is pending
+   somewhere: here the only pending events sit unworthy behind a
+   blocked owner, so the sibling's steal round finds no advert worth
+   probing and it parks. *)
+let test_parks_while_pending () =
+  with_blocked_owner (fun rt ->
+      Alcotest.(check bool) "worker 1 parks while events are pending" true
+        (await (fun () ->
+             (worker_counters rt).(1).parked_now && Rt.Runtime.pending rt > 0));
+      Alcotest.(check int) "nothing unworthy was stolen" 0 (Rt.Runtime.steals rt);
+      0)
+
+(* A worthy queue chained onto the blocked (awake) owner bumps its
+   advert and wakes the parked sibling, which steals and runs it. *)
+let test_worthy_publish_wakes_sibling () =
+  with_blocked_owner (fun rt ->
+      Alcotest.(check bool) "worker 1 parked first" true
+        (await (fun () -> (worker_counters rt).(1).parked_now));
+      let heavy = Rt.Runtime.handler rt ~name:"heavy" ~declared_cycles:400_000 () in
+      let ran_on = Atomic.make (-1) in
+      Alcotest.(check bool) "accepted" true
+        (Rt.Runtime.try_register rt ~color:10 ~home:0 ~handler:heavy (fun ctx ->
+             Atomic.set ran_on ctx.worker));
+      Alcotest.(check bool) "the worthy event ran" true
+        (await (fun () -> Atomic.get ran_on >= 0));
+      Alcotest.(check int) "on the woken sibling" 1 (Atomic.get ran_on);
+      Alcotest.(check bool) "by a steal" true (Rt.Runtime.steals rt >= 1);
+      1)
+
+(* A publish wakes the parked owner it chains onto, and no one else:
+   the other parked worker never runs a steal round, so with tracing on
+   it records no Visit. *)
+let test_homed_event_wakes_only_its_owner () =
+  let rt =
+    Rt.Runtime.create ~workers:2
+      ~trace:{ Rt.Trace.capacity = 4_096; histograms = false }
+      ()
+  in
+  let h = Rt.Runtime.handler rt ~name:"homed" () in
+  Rt.Runtime.start rt;
+  Alcotest.(check bool) "both workers park" true
+    (await (fun () -> Array.for_all (fun (c : Rt.Telemetry.counters) -> c.parked_now)
+                        (worker_counters rt)));
+  let ran_on = Atomic.make (-1) in
+  Alcotest.(check bool) "accepted" true
+    (Rt.Runtime.try_register rt ~color:3 ~home:1 ~handler:h (fun ctx ->
+         Atomic.set ran_on ctx.worker));
+  Rt.Runtime.quiesce rt;
+  Rt.Runtime.stop rt;
+  Alcotest.(check int) "ran on its owner" 1 (Atomic.get ran_on);
+  let tr = Option.get (Rt.Runtime.trace rt) in
+  let visits =
+    List.length (List.filter (function Rt.Trace.Visit _ -> true | _ -> false)
+                   (Rt.Trace.spans tr 0))
+  in
+  Alcotest.(check int) "parked worker 0 recorded no Visit" 0 visits
+
 let suite =
   [
     Alcotest.test_case "steal/enqueue ownership x60" `Slow (fun () ->
@@ -558,4 +662,9 @@ let suite =
     Alcotest.test_case "swallow policy keeps serving" `Quick test_swallow_keeps_serving;
     Alcotest.test_case "external injection x50" `Slow test_external_injection;
     Alcotest.test_case "stop while loaded x12" `Slow test_stop_while_loaded;
+    Alcotest.test_case "parks while pending" `Quick test_parks_while_pending;
+    Alcotest.test_case "worthy publish wakes sibling" `Quick
+      test_worthy_publish_wakes_sibling;
+    Alcotest.test_case "homed event wakes only owner" `Quick
+      test_homed_event_wakes_only_its_owner;
   ]
