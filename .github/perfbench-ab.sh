@@ -9,8 +9,13 @@
 # directories. One extra `--trace 1` run per workload on the change side
 # keeps its per-layer report (rt.park_share, rt.busy_ratio,
 # rt.steal_attempts, rt.parks_per_kop, ...) in OUT/change/W.traced.log
-# as evidence for the artifact; it is not judged. Run from the
-# repository root:
+# as evidence for the artifact; it is not judged. Before the pairs,
+# the deterministic simulator reproduction (`bench/main.exe --quick`)
+# runs on both sides into OUT/base/bench-quick.txt and
+# OUT/change/bench-quick.txt; if the two differ while EXPERIMENTS.md is
+# unchanged since the merge-base, the script fails: moved simulator
+# numbers must be re-run and written up in the same change. Run from
+# the repository root:
 #   bash .github/perfbench-ab.sh REV [OUT]
 set -euo pipefail
 base_rev=$(git merge-base "$1" HEAD)
@@ -24,7 +29,21 @@ trap 'git -C "$root" worktree remove --force "$base_tree"' EXIT
 rm -rf "$out"
 mkdir -p "$out/base" "$out/change"
 workloads=$(sed -n 's/^ *{"name": "\([a-z0-9_]*\)", "why".*/\1/p' BENCHMARK.json)
-dune build --root . ./bin/melyctl.exe
+dune build --root . ./bin/melyctl.exe ./bench/main.exe
+
+(cd "$base_tree" && dune build --root . ./bench/main.exe 1>&2 && ./_build/default/bench/main.exe --quick) \
+  > "$out/base/bench-quick.txt"
+./_build/default/bench/main.exe --quick > "$out/change/bench-quick.txt"
+if ! cmp -s "$out/base/bench-quick.txt" "$out/change/bench-quick.txt"; then
+  if git diff --quiet "$base_rev" -- EXPERIMENTS.md; then
+    diff "$out/base/bench-quick.txt" "$out/change/bench-quick.txt" || true
+    echo "bench --quick: simulator output moved but EXPERIMENTS.md is unchanged since $base_rev" >&2
+    exit 1
+  fi
+  echo "bench --quick: simulator output moved; EXPERIMENTS.md was updated"
+else
+  echo "bench --quick: simulator output identical to the base"
+fi
 
 run() { # side tree workload seed
   local line

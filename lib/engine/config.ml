@@ -4,7 +4,6 @@ type t = {
   ws_enabled : bool;
   heuristics : heuristics;
   batch_threshold : int;
-  steal_cost_seed : int;
   persistent_colors : int;
   failed_steal_backoff : int;
   trace : bool;
@@ -17,8 +16,7 @@ let base =
   {
     ws_enabled = false;
     heuristics = no_heuristics;
-    batch_threshold = 10;
-    steal_cost_seed = 2_000;
+    batch_threshold = Mely.batch_threshold;
     persistent_colors = 8;
     failed_steal_backoff = 2_000;
     trace = false;

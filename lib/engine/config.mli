@@ -20,10 +20,7 @@ type t = {
   heuristics : heuristics;
   batch_threshold : int;
       (** max events of one color processed before rotating to the next
-          color-queue (Mely only; paper uses 10) *)
-  steal_cost_seed : int;
-      (** initial estimate of the cycles one steal costs, refined online
-          by the runtime's monitoring; drives time-left worthiness *)
+          color-queue (Mely only; {!Mely.batch_threshold} by default) *)
   persistent_colors : int;
       (** colors below this bound keep their core binding for the whole
           run instead of being unmapped when they drain. These are the

@@ -22,7 +22,5 @@ let set_penalty t p =
   assert (p >= 1);
   t.penalty <- p
 
-let weighted_cycles t = max 1 (t.declared_cycles / t.penalty)
-
 let pp fmt t =
   Format.fprintf fmt "%s#%d (avg %d cycles, penalty %d)" t.name t.id t.declared_cycles t.penalty

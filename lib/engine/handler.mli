@@ -28,9 +28,4 @@ val make : ?declared_cycles:int -> ?penalty:int -> string -> t
 val set_declared_cycles : t -> int -> unit
 val set_penalty : t -> int -> unit
 
-val weighted_cycles : t -> int
-(** [declared_cycles / penalty], floored at 1: the per-event
-    contribution of this handler to a color's perceived stealable
-    time. *)
-
 val pp : Format.formatter -> t -> unit

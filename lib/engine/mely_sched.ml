@@ -23,9 +23,9 @@ let hash_core st color = color mod n_cores st
 (* Per-event contribution to a color's perceived stealable time: the
    handler's profiled average, divided by its stealing penalty when the
    penalty-aware heuristic is active (Section IV-B). *)
-let weighted_of st handler =
-  if (heuristics st).Config.penalty then Handler.weighted_cycles handler
-  else max 1 handler.Handler.declared_cycles
+let weight st handler =
+  Mely.weight ~declared:handler.Handler.declared_cycles
+    ~penalty:(if (heuristics st).Config.penalty then handler.Handler.penalty else 1)
 
 let estimate st = Metrics.steal_cost_estimate st.shared.Runtime_shared.metrics
 
@@ -81,7 +81,7 @@ let register_from st ~core event =
       end;
       Runtime_shared.charge st.shared ~core cm.Hw.Cost_model.queue_op;
       Melyq.push_event cq (Some owner_state.core_queue) event
-        ~weighted:(weighted_of st event.Event.handler);
+        ~weighted:(weight st event.Event.handler);
       update_worthiness ~charge:core st cq);
   Runtime_shared.assign_seq st.shared event;
   Runtime_shared.note_enqueued st.shared ~target:owner ~at:(Sim.Machine.now m ~core)
@@ -95,7 +95,7 @@ let register_external st ~at event =
   end
   else if not cq.Melyq.in_core_queue then Melyq.append owner_state.core_queue cq;
   Melyq.push_event cq (Some owner_state.core_queue) event
-    ~weighted:(weighted_of st event.Event.handler);
+    ~weighted:(weight st event.Event.handler);
   update_worthiness st cq;
   Runtime_shared.assign_seq st.shared event;
   Runtime_shared.note_enqueued st.shared ~target:owner ~at
@@ -104,7 +104,7 @@ let register_external st ~at event =
    the baseline most-loaded-then-successive order. *)
 let victim_order st ~core =
   if (heuristics st).Config.locality then
-    Array.to_list (Hw.Topology.cores_by_distance (Sim.Machine.topo (machine st)) core)
+    Mely.victim_order (Sim.Machine.topo (machine st)) ~n:(n_cores st) core
   else begin
     let n = n_cores st in
     let most_loaded = ref 0 and best = ref (-1) in
@@ -166,7 +166,7 @@ let process_next st ~core =
           (match event with
           | None -> ()
           | Some e ->
-            cq.Melyq.weighted <- max 0 (cq.Melyq.weighted - weighted_of st e.Event.handler);
+            cq.Melyq.weighted <- max 0 (cq.Melyq.weighted - weight st e.Event.handler);
             cs.batch_remaining <- cs.batch_remaining - 1;
             update_worthiness ~charge:core st cq;
             if (not (Queue.is_empty cq.Melyq.events)) && cs.batch_remaining <= 0 then begin

@@ -115,7 +115,7 @@ module Stealing = struct
      with how much more. *)
   let bucket_of ~weighted ~estimate =
     let estimate = max 1 estimate in
-    if weighted <= estimate then -1
+    if not (Mely.worthy ~steal_cost:estimate weighted) then -1
     else if weighted < 4 * estimate then 0
     else if weighted < 16 * estimate then 1
     else 2

@@ -74,7 +74,7 @@ module Stealing : sig
 
   val bucket_of : weighted:int -> estimate:int -> int
   (** Desired interval for a cumulative weighted time: -1 when not
-      worthy ([weighted <= estimate]), else 0, 1 or 2. *)
+      {!Mely.worthy} against [estimate], else 0, 1 or 2. *)
 
   val update : t -> color_queue -> estimate:int -> bool
   (** Recompute the color's bucket; (re)enqueue it if the bucket

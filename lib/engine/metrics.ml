@@ -22,7 +22,7 @@ let create () =
     steal_cycles_success = 0;
     steal_cycles_total = 0;
     stolen_cost = 0;
-    estimate = 2_000.0;
+    estimate = float_of_int Mely.steal_cost_prior;
   }
 
 let on_register t = t.registered <- t.registered + 1
@@ -63,4 +63,3 @@ let avg_stolen_cost t =
 
 let total_steal_cycles t = t.steal_cycles_total
 let steal_cost_estimate t = int_of_float t.estimate
-let seed_steal_estimate t v = t.estimate <- float_of_int v

@@ -49,6 +49,4 @@ val total_steal_cycles : t -> int
 val steal_cost_estimate : t -> int
 (** Online estimate (EWMA) of the cycles one steal costs; this is the
     runtime's built-in monitoring that feeds the time-left heuristic
-    (Section IV-B). Starts at the configured seed. *)
-
-val seed_steal_estimate : t -> int -> unit
+    (Section IV-B). Starts at {!Mely.steal_cost_prior}. *)

@@ -11,7 +11,6 @@ type t = {
 
 let create machine config =
   let metrics = Metrics.create () in
-  Metrics.seed_steal_estimate metrics config.Config.steal_cost_seed;
   {
     machine;
     config;

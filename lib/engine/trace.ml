@@ -19,54 +19,9 @@ let record t e =
 let entries t = List.rev t.entries
 let length t = t.length
 
-let by_color t =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      let existing = try Hashtbl.find tbl e.color with Not_found -> [] in
-      Hashtbl.replace tbl e.color (e :: existing))
-    t.entries;
-  (* Entries were prepended twice, so each bucket is back in recording
-     order. *)
-  tbl
-
-let check_mutual_exclusion t =
-  let tbl = by_color t in
-  let bad = ref None in
-  Hashtbl.iter
-    (fun _color entries ->
-      if !bad = None then begin
-        let sorted =
-          List.sort (fun a b -> compare (a.t_start, a.t_end) (b.t_start, b.t_end)) entries
-        in
-        let rec scan = function
-          | a :: (b :: _ as rest) ->
-            if a.t_start < b.t_end && b.t_start < a.t_end && a.t_start <> a.t_end
-               && b.t_start <> b.t_end
-            then bad := Some (a, b)
-            else scan rest
-          | _ -> ()
-        in
-        scan sorted
-      end)
-    tbl;
-  !bad
-
-let check_fifo_per_color t =
-  let tbl = by_color t in
-  let bad = ref None in
-  Hashtbl.iter
-    (fun _color entries ->
-      if !bad = None then begin
-        let rec scan = function
-          | a :: (b :: _ as rest) ->
-            if b.event_seq < a.event_seq then bad := Some (a, b) else scan rest
-          | _ -> ()
-        in
-        scan entries
-      end)
-    tbl;
-  !bad
+let span e = { Mely.color = e.color; seq = e.event_seq; start = e.t_start; stop = e.t_end }
+let check_mutual_exclusion t = Mely.check_mutual_exclusion span (entries t)
+let check_fifo_per_color t = Mely.check_fifo_per_color span (entries t)
 
 let steal_ratio t =
   if t.length = 0 then 0.0

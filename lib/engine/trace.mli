@@ -33,10 +33,11 @@ val entries : t -> entry list
 val length : t -> int
 
 val check_mutual_exclusion : t -> (entry * entry) option
-(** First pair of same-color overlapping executions, if any. Two
-    intervals [a, b) and [c, d) overlap when [a < d && c < b]. *)
+(** {!Mely.check_mutual_exclusion} over the entries: a pair of
+    same-color overlapping executions, if any. *)
 
 val check_fifo_per_color : t -> (entry * entry) option
-(** First same-color pair executed out of registration order. *)
+(** {!Mely.check_fifo_per_color} over the entries: a same-color pair
+    started out of registration order, if any. *)
 
 val steal_ratio : t -> float

@@ -1,4 +1,6 @@
-type handler = { name : string; declared : int; penalty : int }
+(* [weight] is the handler's {!Mely.weight}, computed once at
+   declaration: publish and pop add it to the color's weighted pair. *)
+type handler = { name : string; weight : int }
 
 type ctx = { worker : int; register : ?color:int -> handler:handler -> (ctx -> unit) -> unit }
 
@@ -178,9 +180,6 @@ type shard = { sh_lock : Spinlock.t; sh_tbl : (int, color_queue) Hashtbl.t }
 
 type t = {
   n : int;
-  worthy_threshold : int;
-      (** remaining weighted cycles above which a color is worth
-          stealing (the time-left heuristic) *)
   states : worker_state array;
   victims : int list array;  (** per-worker locality victim order *)
   shards : shard array;
@@ -222,24 +221,13 @@ type t = {
 
 let default_color = 0
 
-(* Events an owner drains from one color before rotating it to the back
-   of its deque, so a long-running color cannot starve the others. *)
-let batch_threshold = 10
-
-(* Victim order for the locality heuristic (Section III-A): map the
-   workers onto a xeon-shaped cache hierarchy — pairs share an L2, two
-   pairs share a package — and probe nearest victims first, breaking
-   distance ties by ring order from the thief so no low-id worker is
-   everyone's first fallback. *)
-let locality_victims n =
+(* Victim order for the locality heuristic (Section III-A): the workers
+   mapped onto a xeon-shaped cache hierarchy — pairs share an L2, two
+   pairs share a package — in {!Mely.victim_order}, nearest first. *)
+let victims n =
   let packages = max 1 ((n + 3) / 4) in
   let topo = Hw.Topology.create ~packages ~groups_per_package:2 ~cores_per_group:2 in
-  Array.init n (fun w ->
-      let others = List.filter (fun v -> v <> w) (List.init n Fun.id) in
-      let key v =
-        (Hw.Topology.(distance_rank (distance topo w v)), (v - w + n) mod n)
-      in
-      List.sort (fun a b -> compare (key a) (key b)) others)
+  Array.init n (Mely.victim_order topo ~n)
 
 (* {!Supervision.phase} packed into the per-slot atomic so any domain
    can read it without locks. *)
@@ -264,7 +252,7 @@ let phase_of_int = function
    plain int math. *)
 let now_int () = Int64.to_int (Clock.now_ns ())
 
-let create ?workers ?(worthy_threshold = 2_000) ?(on_error = Swallow) ?trace
+let create ?workers ?(on_error = Swallow) ?trace
     ?(faults = Faults.passthrough) ?(supervision = Supervision.default_config) () =
   let n =
     match workers with
@@ -273,12 +261,9 @@ let create ?workers ?(worthy_threshold = 2_000) ?(on_error = Swallow) ?trace
       n
     | None -> max 1 (Domain.recommended_domain_count () - 1)
   in
-  if worthy_threshold < 0 then
-    invalid_arg "Rt.Runtime.create: worthy_threshold must be >= 0";
   let telemetry = Telemetry.create ~workers:n in
   {
     n;
-    worthy_threshold;
     states =
       Array.init n (fun w ->
           {
@@ -306,7 +291,7 @@ let create ?workers ?(worthy_threshold = 2_000) ?(on_error = Swallow) ?trace
             slot_restarts = Atomic.make 0;
             q_since = 0;
           });
-    victims = locality_victims n;
+    victims = victims n;
     shards =
       Array.init n_shards (fun _ ->
           { sh_lock = Spinlock.create (); sh_tbl = Hashtbl.create 16 });
@@ -351,16 +336,12 @@ let max_concurrent_same_color t =
 
 let handler _t ~name ?(declared_cycles = 1_000) ?(penalty = 1) () =
   if penalty < 1 then invalid_arg "Rt.Runtime.handler: penalty must be >= 1";
-  { name; declared = declared_cycles; penalty }
-
-(* Perceived remaining work of one event: declared cycles divided by
-   the handler's penalty (the penalty heuristic, Section III-C). *)
-let weighted_of h = max 1 (h.declared / h.penalty)
+  { name; weight = Mely.weight ~declared:declared_cycles ~penalty }
 
 let shard_of t color = t.shards.(color land (n_shards - 1))
 
 let dummy_event =
-  { ev_handler = { name = ""; declared = 1; penalty = 1 };
+  { ev_handler = { name = ""; weight = 1 };
     ev_color = -1; ev_run = (fun _ -> ()); ev_seq = 0; ev_enq = 0L }
 
 (* Queued length. Exact when read by the owner (it wrote [popped]
@@ -451,9 +432,11 @@ let advertise t v ~wake_sibling =
   if wake_sibling then
     ignore (List.exists (fun s -> wake t.states.(s)) t.victims.(v))
 
-(* Time-left with the penalty already folded into the weights. Plain
-   reads of the weighted pair: a stale value only mis-ranks a queue. *)
-let worthy t cq = cq.weighted_in - cq.weighted_out > t.worthy_threshold
+(* The time-left test against the steal-cost prior, with the penalty
+   already folded into the weights. Plain reads of the weighted pair: a
+   stale value only mis-ranks a queue. *)
+let worthy_left left = Mely.worthy ~steal_cost:Mely.steal_cost_prior left
+let worthy cq = worthy_left (cq.weighted_in - cq.weighted_out)
 
 let wake_quiescers t =
   Mutex.lock t.quiesce_lock;
@@ -483,7 +466,44 @@ let hand_off t cq target =
   Atomic.incr ts.n_chained;
   inbox_push ts cq;
   let woke = wake ts in
-  if worthy t cq then advertise t target ~wake_sibling:(not woke)
+  if worthy cq then advertise t target ~wake_sibling:(not woke)
+
+(* Retire a drained color from the map (only if it is still this
+   queue), so recycled colors re-hash cleanly. Everything happens under
+   the shard lock: publishers find the queue under the same lock, so
+   once the length check passes here no event can slip into a retired
+   queue — the push either landed before we took the lock (we see it
+   and keep the queue) or finds a fresh queue after the removal. *)
+let forget_if_drained t cq =
+  let sh = shard_of t cq.color in
+  Spinlock.with_lock sh.sh_lock (fun () ->
+      if
+        (not cq.poisoned)
+        && (not (Atomic.get cq.chained))
+        && Atomic.get cq.running = 0
+        && cq_len cq = 0
+      then
+        match Hashtbl.find_opt sh.sh_tbl cq.color with
+        | Some current when current == cq ->
+          cq.retired <- true;
+          Hashtbl.remove sh.sh_tbl cq.color
+        | _ -> ())
+
+(* Hand [cq], whose chain this publisher just won, to its owner, unless
+   it is empty: between our push and our CAS the owner can have popped
+   the event, run it and released (even retired) the queue. Handing off
+   an empty queue wakes the owner for nothing and leaves a chain count
+   up with nothing pending, a false quiescence for the audit. [cq_len]
+   is exact here: only the chain holder pops, and the owner cleared
+   [chained] after its last pop, so our CAS read its final [popped]. An
+   empty queue is released the way [release_current] releases one. *)
+let rec chain_won t cq =
+  if cq_len cq > 0 then hand_off t cq (Atomic.get cq.owner)
+  else begin
+    Atomic.set cq.chained false;
+    if cq_len cq > 0 && Atomic.compare_and_set cq.chained false true then chain_won t cq
+    else forget_if_drained t cq
+  end
 
 (* Publish one event. The only lock on this path is the color's shard
    lock, held for a hashtable probe plus three atomic stores; there is
@@ -511,8 +531,8 @@ let publish t ?home event =
      becomes poppable so the owner's [weighted_out] can never overtake
      it. *)
   let left = cq.weighted_in - cq.weighted_out in
-  cq.weighted_in <- cq.weighted_in + weighted_of event.ev_handler;
-  let crossed = left <= t.worthy_threshold && worthy t cq in
+  cq.weighted_in <- cq.weighted_in + event.ev_handler.weight;
+  let crossed = worthy cq && not (worthy_left left) in
   evq_push cq event;
   Spinlock.release sh.sh_lock;
   (* Hand-off: if the queue is idle (not current, not in any deque or
@@ -523,7 +543,7 @@ let publish t ?home event =
      needs no wake: whoever holds the chain is awake or was woken when
      it was handed the queue. *)
   if (not (Atomic.get cq.chained)) && Atomic.compare_and_set cq.chained false true
-  then hand_off t cq (Atomic.get cq.owner)
+  then chain_won t cq
   else if crossed then begin
     (* This push made an already chained queue worthy. Unless it is
        the owner's current color (unstealable), advertise it; a stale
@@ -576,16 +596,19 @@ let enqueue t ~internal ?home event =
 let make_event ~handler ~color run =
   { ev_handler = handler; ev_color = color; ev_run = run; ev_seq = 0; ev_enq = 0L }
 
-(* [register] and [try_register] share one body; only the name in the
-   argument error differs. *)
-let try_register_as name t ?(color = default_color) ?home ~handler run =
+(* The one registration body: [register], [try_register] and a
+   handler's [ctx.register] differ only in the name in the argument
+   error and in [internal]. Handler follow-ups count as in-flight work:
+   a draining [stop] lets them through so interrupted chains can
+   finish, only an abort refuses them. *)
+let register_as name t ~internal ?(color = default_color) ?home ~handler run =
   if color < 0 then invalid_arg ("Rt.Runtime." ^ name ^ ": color must be >= 0");
-  enqueue t ~internal:false ?home (make_event ~handler ~color run)
+  enqueue t ~internal ?home (make_event ~handler ~color run)
 
-let try_register t = try_register_as "try_register" t
+let try_register t = register_as "try_register" t ~internal:false
 
 let register t ?color ~handler run =
-  ignore (try_register_as "register" t ?color ~handler run)
+  ignore (register_as "register" t ~internal:false ?color ~handler run)
 
 (* Batched external injection: one shutdown-gate decision for the
    whole batch, instead of one per event — the per-event path is what
@@ -618,45 +641,13 @@ let try_register_batch t ?home items =
       true
     end
 
-(* Handler follow-ups count as in-flight work: a draining [stop] lets
-   them through so interrupted chains can finish, only an abort refuses
-   them. [self] is the worker running the handler, so the accepted
-   follow-up is counted in its own shard. *)
-let register_internal t ~self ~color ~handler run =
-  if color < 0 then invalid_arg "Rt.Runtime.register: color must be >= 0";
-  if enqueue t ~internal:true (make_event ~handler ~color run) then begin
-    let c = t.states.(self).counters in
-    c.enqueued <- c.enqueued + 1
-  end
-
-(* Retire a drained color from the map (only if it is still this
-   queue), so recycled colors re-hash cleanly. Everything happens under
-   the shard lock: publishers find the queue under the same lock, so
-   once the length check passes here no event can slip into a retired
-   queue — the push either landed before we took the lock (we see it
-   and keep the queue) or finds a fresh queue after the removal. *)
-let forget_if_drained t cq =
-  let sh = shard_of t cq.color in
-  Spinlock.with_lock sh.sh_lock (fun () ->
-      if
-        (not cq.poisoned)
-        && (not (Atomic.get cq.chained))
-        && Atomic.get cq.running = 0
-        && cq_len cq = 0
-      then
-        match Hashtbl.find_opt sh.sh_tbl cq.color with
-        | Some current when current == cq ->
-          cq.retired <- true;
-          Hashtbl.remove sh.sh_tbl cq.color
-        | _ -> ())
-
 (* The owner puts its own queue back in rotation (release with refill,
    batch rotation): the queue turns stealable, so a worthy one is
    advertised. *)
 let chain_own t w ws cq =
   Atomic.incr ws.n_chained;
   Spmc_queue.push ws.deque cq;
-  if worthy t cq then advertise t w ~wake_sibling:true
+  if worthy cq then advertise t w ~wake_sibling:true
 
 (* Release the drained current queue. Clearing [chained] re-opens the
    hand-off; the refill recheck closes the race with a publisher that
@@ -690,7 +681,7 @@ let drain_inbox ws =
 let make_current ws cq =
   ws.current <- Some cq;
   Atomic.set ws.current_color cq.color;
-  ws.batch_remaining <- batch_threshold;
+  ws.batch_remaining <- Mely.batch_threshold;
   let len = cq_len cq in
   if len > ws.counters.queue_hwm then ws.counters.queue_hwm <- len
 
@@ -714,7 +705,7 @@ let rec next_event t w ws =
     else begin
       match evq_pop cq with
       | Some ev ->
-        cq.weighted_out <- cq.weighted_out + weighted_of ev.ev_handler;
+        cq.weighted_out <- cq.weighted_out + ev.ev_handler.weight;
         ws.batch_remaining <- ws.batch_remaining - 1;
         Some (ev, cq)
       | None ->
@@ -860,8 +851,8 @@ let steal_inbox vs pred =
 let steal_from t w victim =
   let vs = t.states.(victim) in
   let claimed =
-    match Spmc_queue.steal vs.deque (worthy t) with
-    | None -> steal_inbox vs (worthy t)
+    match Spmc_queue.steal vs.deque worthy with
+    | None -> steal_inbox vs worthy
     | found -> found
   in
   match claimed with
@@ -1000,8 +991,10 @@ let worker_loop t w =
     {
       worker = w;
       register =
-        (fun ?(color = default_color) ~handler run ->
-          register_internal t ~self:w ~color ~handler run);
+        (fun ?color ~handler run ->
+          (* Counted in this worker's own shard. *)
+          if register_as "register" t ~internal:true ?color ~handler run then
+            ws.counters.enqueued <- ws.counters.enqueued + 1);
     }
   in
   (match t.trace with
@@ -1622,7 +1615,7 @@ let telemetry_snapshot ?(swap_window = false) t =
     s_errors = sum (fun c -> c.errors);
     s_serving = Atomic.get t.serving;
     s_accepting = Atomic.get t.shutdown = accepting;
-    s_worthy_threshold = t.worthy_threshold;
+    s_worthy_threshold = Mely.steal_cost_prior;
     s_live_workers = live_workers t;
     s_degraded = Atomic.get t.degraded;
     s_restarts = Atomic.get t.restart_count;

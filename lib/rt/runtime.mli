@@ -75,7 +75,6 @@ type ctx = {
 
 val create :
   ?workers:int ->
-  ?worthy_threshold:int ->
   ?on_error:failure_policy ->
   ?trace:Trace.config ->
   ?faults:Faults.t ->
@@ -83,13 +82,17 @@ val create :
   unit ->
   t
 (** [workers] defaults to [Domain.recommended_domain_count () - 1],
-    at least 1. The steal decision is fixed: an idle worker probes
-    victims in {!Hw.Topology} locality order (nearest cache first),
-    skipping one whose worthy-work advert has not moved since it last
-    found nothing there, and claims one color-queue per winning probe, taking only a queue whose
-    remaining weighted declared cycles exceed [worthy_threshold]
-    (default [2_000], must be >= 0) — declared cycles as given to
-    {!handler}, divided by its penalty. [on_error] (default [Swallow])
+    at least 1. The steal decision is fixed and taken from {!Mely}: an
+    idle worker probes victims in {!Mely.victim_order} over a
+    synthetic cache tree of the workers (pairs share an L2, two pairs
+    a package; nearest cache first, ties by ascending id), skipping one
+    whose worthy-work advert has not moved since it last found nothing
+    there, and claims one color-queue per winning probe, taking only a
+    queue that is {!Mely.worthy} against {!Mely.steal_cost_prior}: its
+    remaining weighted declared cycles — declared cycles as given to
+    {!handler}, divided by its penalty ({!Mely.weight}) — exceed 2,000.
+    An owner rotates a color after {!Mely.batch_threshold} events.
+    [on_error] (default [Swallow])
     is the handler-failure policy. [trace] enables the {!Trace} flight
     recorder for the lifetime of the runtime (per-worker span rings,
     optional latency histograms); omitted, recording is compiled in but

@@ -145,7 +145,7 @@ type snapshot = {
   s_errors : int;
   s_serving : bool;
   s_accepting : bool;  (** shutdown gate open (false once draining) *)
-  s_worthy_threshold : int;  (** worthiness bar set at {!Runtime.create} *)
+  s_worthy_threshold : int;  (** worthiness bar, {!Mely.steal_cost_prior} *)
   s_live_workers : int;  (** slots with a running worker domain *)
   s_degraded : bool;
       (** some slot is terminally lost (breaker tripped or a wedged

@@ -184,69 +184,22 @@ let execs t =
   !out
 
 (* ------------------------------------------------------------------ *)
-(* Replay checkers — the real-domain mirror of [Engine.Trace.check_*].
-   Both group retained exec spans by color; dropping the *oldest* spans
-   on overflow cannot manufacture a violation in the remainder. *)
+(* Replay checkers: the shared {!Mely} pair over the retained exec
+   spans. Dropping the *oldest* spans on overflow cannot manufacture a
+   violation in the remainder. Spans are stamped around the handler run
+   inside the color's exclusion window (after the pop, before
+   [running] is released), so a genuine overlap is always a runtime
+   bug, not instrumentation skew. *)
 
 type violation = { va : int * exec; vb : int * exec }
 
-let by_color t =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun ((_, e) as we) ->
-      let existing = try Hashtbl.find tbl e.x_color with Not_found -> [] in
-      Hashtbl.replace tbl e.x_color (we :: existing))
-    (execs t);
-  tbl
+let span (_, e) =
+  { Mely.color = e.x_color; seq = e.x_seq; start = Int64.to_int e.x_start;
+    stop = Int64.to_int e.x_end }
 
-(* Two same-color executions must never overlap in time. Spans are
-   stamped around the handler run inside the color's exclusion window
-   (after the pop, before [running] is released), so a genuine overlap
-   is always a runtime bug, not instrumentation skew. *)
-let check_mutual_exclusion t =
-  let tbl = by_color t in
-  let bad = ref None in
-  Hashtbl.iter
-    (fun _color entries ->
-      if !bad = None then begin
-        let sorted =
-          List.sort
-            (fun (_, a) (_, b) -> compare (a.x_start, a.x_end) (b.x_start, b.x_end))
-            entries
-        in
-        let rec scan = function
-          | ((_, a) as wa) :: (((_, b) as wb) :: _ as rest) ->
-            if a.x_start < b.x_end && b.x_start < a.x_end then
-              bad := Some { va = wa; vb = wb }
-            else scan rest
-          | _ -> ()
-        in
-        scan sorted
-      end)
-    tbl;
-  !bad
-
-(* Within a color, execution (start-time) order must respect push order
-   (seq). Mutual exclusion makes per-color start times totally ordered,
-   so an adjacent-pair scan of the time-sorted list finds any inversion. *)
-let check_fifo_per_color t =
-  let tbl = by_color t in
-  let bad = ref None in
-  Hashtbl.iter
-    (fun _color entries ->
-      if !bad = None then begin
-        let sorted =
-          List.sort (fun (_, a) (_, b) -> compare a.x_start b.x_start) entries
-        in
-        let rec scan = function
-          | ((_, a) as wa) :: (((_, b) as wb) :: _ as rest) ->
-            if b.x_seq < a.x_seq then bad := Some { va = wa; vb = wb } else scan rest
-          | _ -> ()
-        in
-        scan sorted
-      end)
-    tbl;
-  !bad
+let violation = Option.map (fun (va, vb) -> { va; vb })
+let check_mutual_exclusion t = violation (Mely.check_mutual_exclusion span (execs t))
+let check_fifo_per_color t = violation (Mely.check_fifo_per_color span (execs t))
 
 (* ------------------------------------------------------------------ *)
 (* Latency histograms: per-handler, merged across workers on demand.   *)

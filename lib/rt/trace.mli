@@ -115,8 +115,9 @@ val total_dropped : t -> int
 val execs : t -> (int * exec) list
 (** Every retained execution span as [(worker, exec)]. *)
 
-(** {1 Replay checking} — mirrors {!Engine.Trace.check_mutual_exclusion}
-    and {!Engine.Trace.check_fifo_per_color} on real-domain traces. *)
+(** {1 Replay checking} — {!Mely.check_mutual_exclusion} and
+    {!Mely.check_fifo_per_color}, the pair the simulator's
+    {!Engine.Trace} also calls, over the retained exec spans. *)
 
 type violation = { va : int * exec; vb : int * exec }
 

@@ -142,13 +142,17 @@ let test_stealing_stale_entries () =
 
 (* --- Handler / Event ----------------------------------------------- *)
 
+(* A handler's annotations are the inputs of the shared penalty weight. *)
 let test_handler_weighted () =
   let h = Engine.Handler.make ~declared_cycles:10_000 ~penalty:1_000 "penalized" in
-  Alcotest.(check int) "weighted" 10 (Engine.Handler.weighted_cycles h);
+  let weighted () =
+    Mely.weight ~declared:h.Engine.Handler.declared_cycles ~penalty:h.Engine.Handler.penalty
+  in
+  Alcotest.(check int) "weighted" 10 (weighted ());
   Engine.Handler.set_penalty h 1;
-  Alcotest.(check int) "no penalty" 10_000 (Engine.Handler.weighted_cycles h);
+  Alcotest.(check int) "no penalty" 10_000 (weighted ());
   Engine.Handler.set_declared_cycles h 0;
-  Alcotest.(check int) "floored at 1" 1 (Engine.Handler.weighted_cycles h)
+  Alcotest.(check int) "floored at 1" 1 (weighted ())
 
 let test_event_defaults () =
   let e = Engine.Event.make ~handler ~color:3 () in
@@ -193,8 +197,8 @@ let test_trace_fifo () =
 
 let test_metrics_estimate () =
   let m = Engine.Metrics.create () in
-  Engine.Metrics.seed_steal_estimate m 2_000;
-  Alcotest.(check int) "seeded" 2_000 (Engine.Metrics.steal_cost_estimate m);
+  Alcotest.(check int) "starts at the prior" Mely.steal_cost_prior
+    (Engine.Metrics.steal_cost_estimate m);
   for _ = 1 to 200 do
     Engine.Metrics.on_steal_success m ~thief_cycles:50_000 ~work_cycles:4_000 ~events:1
       ~stolen_cost:100

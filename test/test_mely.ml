@@ -7,6 +7,7 @@ let () =
       ("hw", Test_hw.suite);
       ("sim", Test_sim.suite);
       ("engine", Test_engine.suite);
+      ("core", Test_core.suite);
       ("sched", Test_sched.suite);
       ("netsim", Test_netsim.suite);
       ("apps", Test_apps.suite);

@@ -114,31 +114,7 @@ let test_invalid_args () =
   let h = Rt.Runtime.handler rt ~name:"x" () in
   Alcotest.check_raises "bad color"
     (Invalid_argument "Rt.Runtime.register: color must be >= 0") (fun () ->
-      Rt.Runtime.register rt ~color:(-1) ~handler:h (fun _ -> ()));
-  Alcotest.check_raises "negative worthy threshold"
-    (Invalid_argument "Rt.Runtime.create: worthy_threshold must be >= 0") (fun () ->
-      ignore (Rt.Runtime.create ~workers:1 ~worthy_threshold:(-1) ()))
-
-let test_worthy_threshold_param () =
-  (* Threshold 0: any queued weighted time makes a color steal-worthy,
-     so even cheap handlers spread off the home worker; the hard-coded
-     2_000 used to make this configuration impossible. *)
-  let rt = Rt.Runtime.create ~workers:4 ~worthy_threshold:0 () in
-  let h = Rt.Runtime.handler rt ~name:"cheap" ~declared_cycles:10 () in
-  let count = Atomic.make 0 in
-  for i = 0 to 79 do
-    Rt.Runtime.register rt ~color:(4 * (i + 1)) ~handler:h (fun _ ->
-        let acc = ref 0 in
-        for j = 1 to 200_000 do
-          acc := !acc + j
-        done;
-        ignore !acc;
-        Atomic.incr count)
-  done;
-  Rt.Runtime.run_until_idle rt;
-  Alcotest.(check int) "all ran" 80 (Atomic.get count);
-  Alcotest.(check bool) "cheap colors stolen at threshold 0" true
-    (Rt.Runtime.steals rt > 0)
+      Rt.Runtime.register rt ~color:(-1) ~handler:h (fun _ -> ()))
 
 let test_stats_accounting () =
   (* The per-worker counters of the telemetry snapshot must tie out
@@ -229,7 +205,6 @@ let suite =
     Alcotest.test_case "stealing happens" `Quick test_stealing_happens;
     Alcotest.test_case "rerun" `Quick test_rerun;
     Alcotest.test_case "invalid args" `Quick test_invalid_args;
-    Alcotest.test_case "worthy threshold param" `Quick test_worthy_threshold_param;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
     Alcotest.test_case "spinlock" `Quick test_spinlock;
     Alcotest.test_case "split_stack order preservation" `Quick test_split_stack;

@@ -462,7 +462,7 @@ let test_stop_while_loaded () =
 let test_conservation_under_storm () =
   for run = 1 to 8 do
     let workers = 2 + (run mod 3) in
-    let rt = Rt.Runtime.create ~workers ~worthy_threshold:0 () in
+    let rt = Rt.Runtime.create ~workers () in
     let h = Rt.Runtime.handler rt ~name:"conserve" ~declared_cycles:50_000 () in
     let check where =
       match Rt.Runtime.debug_check_conservation rt with

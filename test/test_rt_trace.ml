@@ -213,22 +213,15 @@ let test_visit_accounting () =
   Alcotest.(check bool) "every round probes at least one victim" true
     (visits >= Rt.Runtime.steal_attempts rt)
 
-(* The thief's victim order is the fixed cache-locality order: built
-   here from [Hw.Topology] the way the runtime builds it (pairs share an
-   L2, two pairs a package; distance ties broken by ring order from the
-   thief), never re-ranked at run time. So on every worker each Visit
-   either starts a round (the head of the order) or probes the victim
-   right after the previous Visit's. *)
-let locality_order n w =
-  let packages = max 1 ((n + 3) / 4) in
-  let topo = Hw.Topology.create ~packages ~groups_per_package:2 ~cores_per_group:2 in
-  let key v = (Hw.Topology.(distance_rank (distance topo w v)), (v - w + n) mod n) in
-  List.sort
-    (fun a b -> compare (key a) (key b))
-    (List.filter (fun v -> v <> w) (List.init n Fun.id))
-
+(* The thief's victim order is the fixed cache-locality order, here
+   [Hw.Topology.cores_by_distance] over the runtime's cache tree for 4
+   workers (two L2 pairs in one package, so every core is a worker),
+   never re-ranked at run time. So on every worker each Visit either
+   starts a round (the head of the order) or probes the victim right
+   after the previous Visit's. *)
 let test_visits_follow_locality () =
   let workers = 4 in
+  let topo = Hw.Topology.create ~packages:1 ~groups_per_package:2 ~cores_per_group:2 in
   let rt =
     Rt.Runtime.create ~workers
       ~trace:{ Rt.Trace.capacity = 65_536; histograms = false }
@@ -248,7 +241,7 @@ let test_visits_follow_locality () =
   let tr = trace_of rt in
   let checked = ref 0 in
   for w = 0 to workers - 1 do
-    let order = locality_order workers w in
+    let order = Array.to_list (Hw.Topology.cores_by_distance topo w) in
     let head = List.hd order in
     let rec next_after p = function
       | a :: (b :: _ as rest) -> if a = p then Some b else next_after p rest
