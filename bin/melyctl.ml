@@ -323,13 +323,10 @@ let run_rt_serve workers shards port max_clients duration files file_bytes trace
   in
   Rtnet.Server.start server;
   Printf.printf
-    "serving %d files on 127.0.0.1:%d (%d workers, %d poller shard%s on %s, \
-     max %d clients)\n%!"
+    "serving %d files on 127.0.0.1:%d (%d workers, %d poller shard%s, max %d \
+     clients)\n%!"
     files (Rtnet.Server.port server) workers shards
     (if shards = 1 then "" else "s")
-    (match Rtnet.Server.backend server with
-    | Rtnet.Epoll.Epoll -> "epoll"
-    | Rtnet.Epoll.Poll -> "poll")
     max_clients;
   (match Rtnet.Server.admin_port server with
   | Some ap ->
@@ -578,8 +575,8 @@ let render_top j prev ~interval ~tty =
       let d = exec - get_int "executed" (member_exn "runtime" p) in
       Printf.sprintf ", %.0f ev/s" (float_of_int d /. interval)
   in
-  Printf.printf "mely rt top — %s:%d, epoch %d%s\n"
-    (get_str "backend" net) (get_int "port" net) (get_int "epoch" j)
+  Printf.printf "mely rt top — port %d, epoch %d%s\n" (get_int "port" net)
+    (get_int "epoch" j)
     (if draining then "  [DRAINING]" else "");
   Printf.printf
     "runtime: executed %d%s, pending %d, active %d, steals %d, errors %d; net: \

@@ -6,36 +6,20 @@
    counters and calls these; nothing here touches sockets, so the
    formats are unit-testable without a running server. *)
 
-type net_shard = {
-  ns_id : int;
-  ns_conns_open : int;  (** accepted - closed, racy-read consistent *)
-  ns_accepted : int;
-  ns_refused : int;
-  ns_closed : int;
-  ns_failed : int;
-  ns_evicted : int;  (** wheel evictions: 408 / idle / write-stall *)
-  ns_parsed : int;
-  ns_served : int;
-  ns_req_failed : int;
-  ns_malformed : int;
-  ns_too_large : int;
-  ns_shed : int;
-  ns_inj_refused : int;
-  ns_accept_errors : int;
-  ns_accept_backoffs : int;
-}
-
 type net = {
-  n_backend : string;
   n_port : int;
   n_admin_port : int;
   n_live : int;
   n_draining : bool;
   n_faults_injected : int;
-  n_shards : net_shard array;
+  n_shards : Net_stats.stats array;  (** index [i] for shard [i] *)
 }
 
 let ilbl i = string_of_int i
+
+(* The two counters are read racily, one after the other, so their
+   difference can transiently go negative: clamp. *)
+let conns_open (s : Net_stats.stats) = max 0 (s.conns_accepted - s.conns_closed)
 
 (* ---------------------------------------------------------------- *)
 (* GET /metrics — Prometheus text exposition 0.0.4. *)
@@ -162,41 +146,41 @@ let metrics_text (rt : Rt.Telemetry.snapshot) (net : net) =
     (if net.n_draining then 1.0 else 0.0);
   counter ~name:"mely_net_faults_injected_total"
     ~help:"Syscall faults injected by the fault plane" net.n_faults_injected;
-  Array.iter
-    (fun s ->
-      let labels = [ ("shard", ilbl s.ns_id) ] in
+  Array.iteri
+    (fun i (s : Net_stats.stats) ->
+      let labels = [ ("shard", ilbl i) ] in
       gauge ~name:"mely_net_shard_conns_open" ~help:"Open connections on shard"
-        ~labels (float_of_int s.ns_conns_open);
+        ~labels (float_of_int (conns_open s));
       counter ~name:"mely_net_shard_conns_accepted_total"
-        ~help:"Connections accepted" ~labels s.ns_accepted;
+        ~help:"Connections accepted" ~labels s.conns_accepted;
       counter ~name:"mely_net_shard_conns_refused_total"
-        ~help:"Connections refused while draining" ~labels s.ns_refused;
+        ~help:"Connections refused while draining" ~labels s.conns_refused;
       counter ~name:"mely_net_shard_conns_closed_total" ~help:"Connections closed"
-        ~labels s.ns_closed;
+        ~labels s.conns_closed;
       counter ~name:"mely_net_shard_conns_failed_total"
-        ~help:"Connections dropped on error" ~labels s.ns_failed;
+        ~help:"Connections dropped on error" ~labels s.conns_failed;
       counter ~name:"mely_net_shard_wheel_evictions_total"
         ~help:"Deadline evictions (slow-loris 408, idle, write stall)" ~labels
-        s.ns_evicted;
+        s.conns_evicted;
       counter ~name:"mely_net_shard_reqs_parsed_total" ~help:"Requests parsed"
-        ~labels s.ns_parsed;
+        ~labels s.reqs_parsed;
       counter ~name:"mely_net_shard_reqs_served_total" ~help:"Responses served"
-        ~labels s.ns_served;
+        ~labels s.reqs_served;
       counter ~name:"mely_net_shard_reqs_failed_total"
-        ~help:"Requests failed (500 or dead conn)" ~labels s.ns_req_failed;
+        ~help:"Requests failed (500 or dead conn)" ~labels s.reqs_failed;
       counter ~name:"mely_net_shard_reqs_shed_total"
-        ~help:"Requests shed under overload (503)" ~labels s.ns_shed;
+        ~help:"Requests shed under overload (503)" ~labels s.reqs_shed;
       counter ~name:"mely_net_shard_reqs_malformed_total"
-        ~help:"Requests rejected as malformed (400)" ~labels s.ns_malformed;
+        ~help:"Requests rejected as malformed (400)" ~labels s.reqs_malformed;
       counter ~name:"mely_net_shard_reqs_too_large_total"
-        ~help:"Requests rejected as oversized (431)" ~labels s.ns_too_large;
+        ~help:"Requests rejected as oversized (431)" ~labels s.reqs_too_large;
       counter ~name:"mely_net_shard_injections_refused_total"
         ~help:"Poller registers refused by the runtime gate" ~labels
-        s.ns_inj_refused;
+        s.injections_refused;
       counter ~name:"mely_net_shard_accept_errors_total" ~help:"Accept failures"
-        ~labels s.ns_accept_errors;
+        ~labels s.accept_errors;
       counter ~name:"mely_net_shard_accept_backoffs_total"
-        ~help:"Acceptor backoff windows entered" ~labels s.ns_accept_backoffs)
+        ~help:"Acceptor backoff windows entered" ~labels s.accept_backoffs)
     net.n_shards;
   Mstd.Prometheus.contents p
 
@@ -258,26 +242,26 @@ let worker_json (w : Rt.Telemetry.worker_snap) =
       ("steals_from", List (Array.to_list (Array.map int w.w_steals_from)));
     ]
 
-let shard_json s =
+let shard_json i (s : Net_stats.stats) =
   let open Mstd.Json in
   Obj
     [
-      ("id", int s.ns_id);
-      ("conns_open", int s.ns_conns_open);
-      ("accepted", int s.ns_accepted);
-      ("refused", int s.ns_refused);
-      ("closed", int s.ns_closed);
-      ("failed", int s.ns_failed);
-      ("evicted", int s.ns_evicted);
-      ("parsed", int s.ns_parsed);
-      ("served", int s.ns_served);
-      ("req_failed", int s.ns_req_failed);
-      ("malformed", int s.ns_malformed);
-      ("too_large", int s.ns_too_large);
-      ("shed", int s.ns_shed);
-      ("inj_refused", int s.ns_inj_refused);
-      ("accept_errors", int s.ns_accept_errors);
-      ("accept_backoffs", int s.ns_accept_backoffs);
+      ("id", int i);
+      ("conns_open", int (conns_open s));
+      ("accepted", int s.conns_accepted);
+      ("refused", int s.conns_refused);
+      ("closed", int s.conns_closed);
+      ("failed", int s.conns_failed);
+      ("evicted", int s.conns_evicted);
+      ("parsed", int s.reqs_parsed);
+      ("served", int s.reqs_served);
+      ("req_failed", int s.reqs_failed);
+      ("malformed", int s.reqs_malformed);
+      ("too_large", int s.reqs_too_large);
+      ("shed", int s.reqs_shed);
+      ("inj_refused", int s.injections_refused);
+      ("accept_errors", int s.accept_errors);
+      ("accept_backoffs", int s.accept_backoffs);
     ]
 
 let stats_json (rt : Rt.Telemetry.snapshot) (net : net) =
@@ -311,12 +295,11 @@ let stats_json (rt : Rt.Telemetry.snapshot) (net : net) =
          ( "net",
            Obj
              [
-               ("backend", Str net.n_backend);
-               ("port", int net.n_port);
+                        ("port", int net.n_port);
                ("admin_port", int net.n_admin_port);
                ("live", int net.n_live);
                ("draining", Bool net.n_draining);
                ("faults_injected", int net.n_faults_injected);
-               ("shards", List (Array.to_list (Array.map shard_json net.n_shards)));
+               ("shards", List (Array.to_list (Array.mapi shard_json net.n_shards)));
              ] );
        ])

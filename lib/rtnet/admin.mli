@@ -6,33 +6,13 @@
     Pure data-in, string-out: {!Server} assembles the {!net} view and
     calls these, so both formats are unit-testable without sockets. *)
 
-type net_shard = {
-  ns_id : int;
-  ns_conns_open : int;  (** accepted - closed, racy-read consistent *)
-  ns_accepted : int;
-  ns_refused : int;
-  ns_closed : int;
-  ns_failed : int;
-  ns_evicted : int;  (** wheel evictions: 408 / idle / write-stall *)
-  ns_parsed : int;
-  ns_served : int;
-  ns_req_failed : int;
-  ns_malformed : int;
-  ns_too_large : int;
-  ns_shed : int;
-  ns_inj_refused : int;
-  ns_accept_errors : int;
-  ns_accept_backoffs : int;
-}
-
 type net = {
-  n_backend : string;
   n_port : int;
   n_admin_port : int;
   n_live : int;
   n_draining : bool;
   n_faults_injected : int;
-  n_shards : net_shard array;
+  n_shards : Net_stats.stats array;  (** index [i] for shard [i] *)
 }
 
 val metrics_text : Rt.Telemetry.snapshot -> net -> string

@@ -1,17 +1,13 @@
 (* Readiness multiplexing for the poller shards: edge-triggered epoll
-   on Linux, level-triggered poll(2) everywhere (and as a same-API
-   fallback the parity tests run both ways). One instance per shard,
+   plus an eventfd wake counter, Linux only. One instance per shard,
    single-domain, so no locking anywhere.
 
-   The [wait] path is allocation-free: results land in preallocated
-   int arrays read back through the [ready_*] accessors. The poll
-   backend keeps a packed mirror of its interest table and rebuilds it
-   only when the interest set changed, not per lap. *)
+   The kernel holds the interest set; this side keeps only the result
+   arrays of the last [wait], preallocated at the stub's cap, so the
+   [wait] path is allocation-free. *)
 
 external int_of_fd : Unix.file_descr -> int = "%identity"
 external fd_of_int : int -> Unix.file_descr = "%identity"
-
-external epoll_available_stub : unit -> bool = "mely_epoll_available"
 
 external ep_create : unit -> int = "mely_epoll_create"
 external ep_ctl : int -> int -> int -> int -> unit = "mely_epoll_ctl"
@@ -19,63 +15,32 @@ external ep_ctl : int -> int -> int -> int -> unit = "mely_epoll_ctl"
 external ep_wait : int -> int -> int array -> int array -> int
   = "mely_epoll_wait"
 
-external sys_poll : int array -> int array -> int -> int -> int array -> int
-  = "mely_poll"
+external eventfd : unit -> Unix.file_descr = "mely_eventfd_create"
+external signal : Unix.file_descr -> unit = "mely_eventfd_signal"
+external drain : Unix.file_descr -> unit = "mely_eventfd_drain"
 
 external writev_stub :
   Unix.file_descr -> string array -> int array -> int array -> int -> int
   = "mely_writev"
 
-let available = epoll_available_stub ()
-
-type backend = Epoll | Poll
-
-(* Interest mask bits, shared with epoll_stubs.c. *)
+(* Interest mask bits and the result cap, shared with epoll_stubs.c. *)
 let bit_read = 1
 let bit_write = 2
 let bit_edge = 4
+let max_events = 1024
 
 type t = {
-  backend : backend;
-  epfd : int;  (* epoll backend only; -1 under poll *)
-  (* Poll backend: fd -> interest mask, mirrored into packed arrays
-     only when dirty. *)
-  interest : (int, int) Hashtbl.t;
-  mutable dirty : bool;
-  mutable pk_fds : int array;
-  mutable pk_masks : int array;
-  mutable pk_revents : int array;
-  mutable pk_count : int;
-  (* Results of the last [wait]. *)
-  mutable res_fds : int array;
-  mutable res_events : int array;
-  mutable nreg : int;  (* registered fds; sizes the result arrays *)
+  epfd : int;
+  res_fds : int array;  (* results of the last [wait] *)
+  res_events : int array;
   mutable closed : bool;
 }
 
-let backend t = t.backend
-
-let create ?backend () =
-  let backend =
-    match backend with
-    | Some b -> b
-    | None -> if available then Epoll else Poll
-  in
-  if backend = Epoll && not available then
-    invalid_arg "Rtnet.Epoll.create: epoll backend unavailable on this platform";
-  let epfd = match backend with Epoll -> ep_create () | Poll -> -1 in
+let create () =
   {
-    backend;
-    epfd;
-    interest = Hashtbl.create 64;
-    dirty = false;
-    pk_fds = Array.make 64 0;
-    pk_masks = Array.make 64 0;
-    pk_revents = Array.make 64 0;
-    pk_count = 0;
-    res_fds = Array.make 64 0;
-    res_events = Array.make 64 0;
-    nreg = 0;
+    epfd = ep_create ();
+    res_fds = Array.make max_events 0;
+    res_events = Array.make max_events 0;
     closed = false;
   }
 
@@ -84,87 +49,16 @@ let mask ~read ~write ~edge =
   lor (if write then bit_write else 0)
   lor if edge then bit_edge else 0
 
-let grow_results t =
-  let want = max 64 t.nreg in
-  if Array.length t.res_fds < want then begin
-    let cap = max want (2 * Array.length t.res_fds) in
-    t.res_fds <- Array.make cap 0;
-    t.res_events <- Array.make cap 0
-  end
-
 let add t fd ~read ~write ~edge =
-  let ifd = int_of_fd fd in
-  (match t.backend with
-  | Epoll -> ep_ctl t.epfd 0 ifd (mask ~read ~write ~edge)
-  | Poll -> ());
-  (* The interest table is kept on both backends: it is the
-     re-registration source if a caller asks, and the poll mirror. *)
-  if not (Hashtbl.mem t.interest ifd) then t.nreg <- t.nreg + 1;
-  Hashtbl.replace t.interest ifd (mask ~read ~write ~edge);
-  t.dirty <- true;
-  grow_results t
+  ep_ctl t.epfd 0 (int_of_fd fd) (mask ~read ~write ~edge)
 
 let modify t fd ~read ~write ~edge =
-  let ifd = int_of_fd fd in
-  (match t.backend with
-  | Epoll -> ep_ctl t.epfd 1 ifd (mask ~read ~write ~edge)
-  | Poll -> ());
-  if not (Hashtbl.mem t.interest ifd) then t.nreg <- t.nreg + 1;
-  Hashtbl.replace t.interest ifd (mask ~read ~write ~edge);
-  t.dirty <- true
+  ep_ctl t.epfd 1 (int_of_fd fd) (mask ~read ~write ~edge)
 
 let remove t fd =
-  let ifd = int_of_fd fd in
-  (match t.backend with
-  | Epoll -> ( try ep_ctl t.epfd 2 ifd 0 with Unix.Unix_error _ -> ())
-  | Poll -> ());
-  if Hashtbl.mem t.interest ifd then begin
-    Hashtbl.remove t.interest ifd;
-    t.nreg <- t.nreg - 1;
-    t.dirty <- true
-  end
+  try ep_ctl t.epfd 2 (int_of_fd fd) 0 with Unix.Unix_error _ -> ()
 
-let rebuild_packed t =
-  let n = Hashtbl.length t.interest in
-  if Array.length t.pk_fds < n then begin
-    let cap = max n (2 * Array.length t.pk_fds) in
-    t.pk_fds <- Array.make cap 0;
-    t.pk_masks <- Array.make cap 0;
-    t.pk_revents <- Array.make cap 0
-  end;
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun fd m ->
-      t.pk_fds.(!i) <- fd;
-      t.pk_masks.(!i) <- m;
-      incr i)
-    t.interest;
-  t.pk_count <- n;
-  t.dirty <- false
-
-let wait t ~timeout_ms =
-  match t.backend with
-  | Epoll -> ep_wait t.epfd timeout_ms t.res_fds t.res_events
-  | Poll ->
-    if t.dirty then rebuild_packed t;
-    let ready =
-      sys_poll t.pk_fds t.pk_masks t.pk_count timeout_ms t.pk_revents
-    in
-    if ready <= 0 then 0
-    else begin
-      grow_results t;
-      let out = ref 0 in
-      for i = 0 to t.pk_count - 1 do
-        let bits = t.pk_revents.(i) in
-        if bits <> 0 && !out < Array.length t.res_fds then begin
-          t.res_fds.(!out) <- t.pk_fds.(i);
-          t.res_events.(!out) <- bits;
-          incr out
-        end
-      done;
-      !out
-    end
-
+let wait t ~timeout_ms = ep_wait t.epfd timeout_ms t.res_fds t.res_events
 let ready_fd t i = fd_of_int t.res_fds.(i)
 let ready_readable t i = t.res_events.(i) land 1 <> 0
 let ready_writable t i = t.res_events.(i) land 2 <> 0
@@ -173,10 +67,7 @@ let ready_error t i = t.res_events.(i) land 4 <> 0
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    Hashtbl.reset t.interest;
-    match t.backend with
-    | Epoll -> ( try Unix.close (fd_of_int t.epfd) with Unix.Unix_error _ -> ())
-    | Poll -> ()
+    try Unix.close (fd_of_int t.epfd) with Unix.Unix_error _ -> ()
   end
 
 (* Gather write over at most 64 slices; returns bytes written, raises

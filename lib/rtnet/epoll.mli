@@ -1,40 +1,32 @@
 (** Readiness multiplexing for the poller shards.
 
-    A thin, allocation-free wrapper over [epoll(7)] (Linux,
-    edge-triggered) with a portable [poll(2)] fallback behind the same
-    API — the parity tests run the server under both backends and
-    expect identical observable behavior. One instance per poller
-    shard; single-domain, no locking.
+    A thin, allocation-free wrapper over [epoll(7)] plus an
+    [eventfd(2)] wake counter. [lib/rtnet] needs Linux: elsewhere
+    {!create} fails, and only the simulator half of the repo is usable.
+    One instance per poller shard; single-domain, no locking.
 
     Semantics the server relies on:
-    - [Epoll] registrations made with [~edge:true] are edge-triggered:
-      the consumer must drain the fd to [EAGAIN], and {!modify} on an
-      armed fd re-arms it (a fresh event fires if the condition
-      currently holds — the kernel's [EPOLL_CTL_MOD] rearm).
-    - [Poll] is level-triggered and ignores [edge]; a condition left
-      unconsumed reports again on the next {!wait}.
+    - Registrations made with [~edge:true] are edge-triggered: a
+      condition reports once, the consumer must drain the fd to
+      [EAGAIN], and {!modify} on an armed fd re-arms it (a fresh event
+      fires if the condition currently holds — the kernel's
+      [EPOLL_CTL_MOD] rearm).
+    - Registrations made with [~edge:false] are level-triggered: an
+      unconsumed condition reports again on the next {!wait}.
     - Error/hangup conditions report via {!ready_error} (and are folded
-      into readability on epoll via [EPOLLRDHUP]); the caller reads to
-      observe the EOF or errno. *)
-
-type backend = Epoll | Poll
-
-val available : bool
-(** Whether the [Epoll] backend exists on this platform. *)
+      into readability via [EPOLLRDHUP]); the caller reads to observe
+      the EOF or errno. *)
 
 type t
 
-val create : ?backend:backend -> unit -> t
-(** Default backend: [Epoll] when {!available}, else [Poll]. Forcing
-    [Epoll] where unavailable raises [Invalid_argument]. *)
-
-val backend : t -> backend
+val create : unit -> t
+(** A fresh epoll instance. Raises [Failure] off Linux. *)
 
 val add : t -> Unix.file_descr -> read:bool -> write:bool -> edge:bool -> unit
-(** Register interest. [edge] is honored by the epoll backend only. *)
+(** Register interest. *)
 
 val modify : t -> Unix.file_descr -> read:bool -> write:bool -> edge:bool -> unit
-(** Replace interest; on epoll this re-arms an edge-triggered fd. *)
+(** Replace interest; this re-arms an edge-triggered fd. *)
 
 val remove : t -> Unix.file_descr -> unit
 (** Forget the fd. Safe to call for an fd that was never added (or was
@@ -44,9 +36,9 @@ val wait : t -> timeout_ms:int -> int
 (** Block up to [timeout_ms] (0 polls, negative blocks indefinitely)
     and return the number of ready fds, readable through the
     [ready_*] accessors at indices [0 .. n-1] until the next [wait].
-    Allocation-free; a burst larger than the internal result capacity
-    is delivered across consecutive waits. Raises [Unix.Unix_error]
-    (e.g. [EINTR]) like the underlying syscall. *)
+    Allocation-free; a burst larger than the result capacity (1024
+    fds) is delivered across consecutive waits. Raises
+    [Unix.Unix_error] (e.g. [EINTR]) like the underlying syscall. *)
 
 val ready_fd : t -> int -> Unix.file_descr
 val ready_readable : t -> int -> bool
@@ -54,8 +46,19 @@ val ready_writable : t -> int -> bool
 val ready_error : t -> int -> bool
 
 val close : t -> unit
-(** Release the kernel object ([Poll]: nothing to release).
-    Idempotent. *)
+(** Release the kernel object. Idempotent. *)
+
+val eventfd : unit -> Unix.file_descr
+(** A nonblocking, close-on-exec eventfd counter starting at 0: a
+    shard's wake channel, readable while the counter is nonzero. *)
+
+val signal : Unix.file_descr -> unit
+(** Add 1 to the counter: one 8-byte write. A saturated counter
+    already means a wake is pending, so [EAGAIN] counts as success. *)
+
+val drain : Unix.file_descr -> unit
+(** Reset the counter to 0: one 8-byte read, however many signals came
+    before it. Draining a zero counter is a no-op. *)
 
 val writev :
   Unix.file_descr ->

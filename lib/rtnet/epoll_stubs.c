@@ -1,20 +1,20 @@
-/* C stubs for Rtnet.Epoll: edge-triggered epoll on Linux, a portable
- * poll(2) fallback everywhere, and a writev gather-write for the
- * slice-queue output path.
+/* C stubs for Rtnet.Epoll: edge-triggered epoll and an eventfd wake
+ * counter (Linux only), and a writev gather-write for the slice-queue
+ * output path.
  *
  * Conventions shared with epoll.ml (keep in sync):
  *   interest mask bits:  1 = read, 2 = write, 4 = edge-triggered
  *   ready event bits:    1 = readable, 2 = writable, 4 = error/hup
  *   ctl ops:             0 = add, 1 = modify, 2 = delete
+ *   result capacity:     MELY_EPOLL_MAX = [max_events] in epoll.ml
  *
  * Blocking discipline (OCaml 5): a domain that naps inside a syscall
  * without releasing the runtime stalls every other domain's
- * stop-the-world minor GC, so the waits release the runtime lock.
+ * stop-the-world minor GC, so epoll_wait releases the runtime lock.
  * Anything read from or written to the OCaml heap is copied on the
- * C stack / malloc'd memory while the lock is held. The writev path
- * never releases the lock: the sockets are nonblocking, and holding
- * the lock is what keeps the iovec base pointers (into OCaml strings)
- * stable.
+ * C stack while the lock is held. The eventfd and writev paths never
+ * release the lock: their fds are nonblocking, and holding the lock
+ * is what keeps the iovec base pointers (into OCaml strings) stable.
  */
 
 #include <caml/mlvalues.h>
@@ -25,8 +25,7 @@
 #include <caml/unixsupport.h>
 
 #include <errno.h>
-#include <poll.h>
-#include <stdlib.h>
+#include <stdint.h>
 #include <string.h>
 #include <unistd.h>
 #include <sys/uio.h>
@@ -39,14 +38,11 @@
 #define MELY_WR 2
 #define MELY_ERR 4
 
+#define MELY_EPOLL_MAX 1024
+
 #ifdef __linux__
 #include <sys/epoll.h>
-
-CAMLprim value mely_epoll_available(value unit)
-{
-  (void)unit;
-  return Val_true;
-}
+#include <sys/eventfd.h>
 
 CAMLprim value mely_epoll_create(value unit)
 {
@@ -78,8 +74,6 @@ CAMLprim value mely_epoll_ctl(value vepfd, value vop, value vfd, value vmask)
   return Val_unit;
 }
 
-#define MELY_EPOLL_MAX 1024
-
 CAMLprim value mely_epoll_wait(value vepfd, value vtimeout, value vfds,
                                value vevents)
 {
@@ -107,77 +101,51 @@ CAMLprim value mely_epoll_wait(value vepfd, value vtimeout, value vfds,
   CAMLreturn(Val_int(n));
 }
 
+CAMLprim value mely_eventfd_create(value unit)
+{
+  int fd;
+  (void)unit;
+  fd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (fd == -1) uerror("eventfd", Nothing);
+  return Val_int(fd);
+}
+
+/* Add 1 to the counter. EAGAIN means the counter is saturated, so a
+ * wake is already pending: success. */
+CAMLprim value mely_eventfd_signal(value vfd)
+{
+  uint64_t one = 1;
+  if (write(Int_val(vfd), &one, sizeof one) == -1 && errno != EAGAIN)
+    uerror("eventfd_signal", Nothing);
+  return Val_unit;
+}
+
+/* Reset the counter to 0. EAGAIN means it already was 0. */
+CAMLprim value mely_eventfd_drain(value vfd)
+{
+  uint64_t n;
+  if (read(Int_val(vfd), &n, sizeof n) == -1 && errno != EAGAIN)
+    uerror("eventfd_drain", Nothing);
+  return Val_unit;
+}
+
 #else /* !__linux__ */
 
-CAMLprim value mely_epoll_available(value unit)
-{
-  (void)unit;
-  return Val_false;
-}
+/* lib/rtnet needs Linux; elsewhere only the simulator half is usable.
+ * Every caller goes through Epoll.create first, which fails here. */
+#define MELY_LINUX_ONLY \
+  caml_failwith("Rtnet.Epoll: lib/rtnet needs Linux (epoll and eventfd)")
 
-CAMLprim value mely_epoll_create(value unit)
-{
-  (void)unit;
-  caml_failwith("Rtnet.Epoll: epoll backend unavailable on this platform");
-}
-
-CAMLprim value mely_epoll_ctl(value vepfd, value vop, value vfd, value vmask)
-{
-  (void)vepfd; (void)vop; (void)vfd; (void)vmask;
-  caml_failwith("Rtnet.Epoll: epoll backend unavailable on this platform");
-}
-
-CAMLprim value mely_epoll_wait(value vepfd, value vtimeout, value vfds,
-                               value vevents)
-{
-  (void)vepfd; (void)vtimeout; (void)vfds; (void)vevents;
-  caml_failwith("Rtnet.Epoll: epoll backend unavailable on this platform");
-}
+CAMLprim value mely_epoll_create(value unit) { (void)unit; MELY_LINUX_ONLY; }
+CAMLprim value mely_epoll_ctl(value a, value b, value c, value d)
+{ (void)a; (void)b; (void)c; (void)d; MELY_LINUX_ONLY; }
+CAMLprim value mely_epoll_wait(value a, value b, value c, value d)
+{ (void)a; (void)b; (void)c; (void)d; MELY_LINUX_ONLY; }
+CAMLprim value mely_eventfd_create(value unit) { (void)unit; MELY_LINUX_ONLY; }
+CAMLprim value mely_eventfd_signal(value fd) { (void)fd; MELY_LINUX_ONLY; }
+CAMLprim value mely_eventfd_drain(value fd) { (void)fd; MELY_LINUX_ONLY; }
 
 #endif /* __linux__ */
-
-/* Portable fallback: one poll(2) over the packed interest arrays.
- * [vfds]/[vmasks] are the interest set (fd, mask) pairs, [vrevents]
- * receives one ready-bit word per index. Returns the number of
- * entries with a nonzero revents word. */
-CAMLprim value mely_poll(value vfds, value vmasks, value vcount,
-                         value vtimeout, value vrevents)
-{
-  CAMLparam5(vfds, vmasks, vcount, vtimeout, vrevents);
-  int n = Int_val(vcount);
-  int timeout = Int_val(vtimeout);
-  struct pollfd *pfds;
-  int i, ready;
-  if (n < 0) n = 0;
-  pfds = (struct pollfd *)malloc((n > 0 ? n : 1) * sizeof(struct pollfd));
-  if (pfds == NULL) uerror("poll", Nothing);
-  for (i = 0; i < n; i++) {
-    int mask = Int_val(Field(vmasks, i));
-    pfds[i].fd = Int_val(Field(vfds, i));
-    pfds[i].events = 0;
-    if (mask & MELY_IN) pfds[i].events |= POLLIN | POLLPRI;
-    if (mask & MELY_OUT) pfds[i].events |= POLLOUT;
-    pfds[i].revents = 0;
-  }
-  caml_release_runtime_system();
-  ready = poll(pfds, (nfds_t)n, timeout);
-  caml_acquire_runtime_system();
-  if (ready == -1) {
-    int e = errno;
-    free(pfds);
-    errno = e;
-    uerror("poll", Nothing);
-  }
-  for (i = 0; i < n; i++) {
-    int bits = 0;
-    if (pfds[i].revents & (POLLIN | POLLPRI)) bits |= MELY_RD;
-    if (pfds[i].revents & POLLOUT) bits |= MELY_WR;
-    if (pfds[i].revents & (POLLERR | POLLHUP | POLLNVAL)) bits |= MELY_ERR;
-    Field(vrevents, i) = Val_int(bits);
-  }
-  free(pfds);
-  CAMLreturn(Val_int(ready));
-}
 
 /* Gather write from parallel slice arrays: strings, start offsets and
  * lengths, first [vcount] entries. Runs with the runtime lock held

@@ -4,9 +4,9 @@
 
    - N poller shard domains split the fd space: each shard owns a
      disjoint slice of connections (its own epoll instance, timer
-     wheel, read-buffer pool, wake pipe). Shard 0 additionally owns
-     the listener: it accepts and hands fresh fds round-robin to the
-     shards through lock-free hand-off stacks + wake pipes. A shard
+     wheel, read-buffer pool, wake eventfd). Shard 0 additionally owns
+     the listeners: it accepts and hands fresh fds round-robin to the
+     shards through lock-free hand-off stacks + wakes. A shard
      does everything the old single poller did for its slice: waits,
      reads, injects colored events, enforces deadlines, closes.
    - Worker domains own a connection's mutable record, but only inside
@@ -18,12 +18,12 @@
      state pushes the fd and wakes the owning shard, which re-examines
      just that connection — no O(conns) sweep per lap.
 
-   Readiness is edge-triggered on the epoll backend (reads drain to
-   EAGAIN, write interest is one-shot: armed when a handler leaves
-   output stalled, disarmed when the writable event is consumed), and
-   the same discipline is level-triggered-correct on the poll(2)
-   fallback. Injection is batched: one [Rt.Runtime.try_register_batch]
-   per wait return, with the shard id as the placement hint.
+   Connection readiness is edge-triggered: reads drain to EAGAIN (or
+   re-arm with a MOD when the budget runs out), and write interest is
+   one-shot: armed when a handler leaves output stalled, disarmed when
+   the writable event is consumed. Injection is batched: one
+   [Rt.Runtime.try_register_batch] per wait return, with the shard id
+   as the placement hint.
 
    Overload armor (DESIGN.md §5f): every network syscall goes through
    the [Rt.Faults] shim; per-shard timer wheels enforce per-connection
@@ -128,14 +128,12 @@ and shard = {
   ep : Epoll.t;
   conns : (int, conn) Hashtbl.t;  (** shard-owned, keyed by fd int *)
   wheel : Wheel.t;  (** shard-owned deadline wheel, keyed by fd int *)
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
+  wake : Unix.file_descr;  (** eventfd; readable while a wake is pending *)
   attn : int list Atomic.t;
       (** fds whose state a handler changed; drained each lap *)
   handoff : Unix.file_descr list Atomic.t;
       (** accepted fds parked here by the acceptor shard *)
   pool : Bufpool.t;
-  wake_buf : Bytes.t;  (** hoisted wake-pipe drain scratch *)
   ctr : counters;
   (* Below: touched only by this shard's domain. *)
   mutable backoff_until : int64;
@@ -146,23 +144,7 @@ and shard = {
   mutable batch_n : int;
 }
 
-type stats = {
-  conns_accepted : int;
-  conns_refused : int;
-  conns_closed : int;
-  conns_failed : int;
-  conns_evicted : int;
-  reqs_parsed : int;
-  reqs_served : int;
-  reqs_failed : int;
-  reqs_malformed : int;
-  reqs_too_large : int;
-  reqs_shed : int;
-  injections_refused : int;
-  accept_errors : int;
-  accept_backoffs : int;
-  faults_injected : int;
-}
+include Net_stats
 
 type overload = {
   header_deadline : float;
@@ -189,7 +171,6 @@ type t = {
   drain_deadline : float;
   overload : overload;
   faults : Rt.Faults.t;
-  backend : Epoll.backend;
   listen_fd : Unix.file_descr;
   bound_port : int;
   admin_fd : Unix.file_descr option;
@@ -262,15 +243,13 @@ let sys_writev t conn count =
     Epoll.writev conn.fd ~strs:conn.wv_strs ~offs:conn.wv_offs
       ~lens:conn.wv_lens ~count
 
-let sys_accept_on t lfd =
+let sys_accept t lfd =
   match Rt.Faults.decide t.faults Rt.Faults.Accept with
   | Rt.Faults.Pass | Rt.Faults.Torn _ -> Unix.accept ~cloexec:true lfd
   | Rt.Faults.Errno e -> injected_error Rt.Faults.Accept e
   | Rt.Faults.Delay s ->
     Unix.sleepf s;
     Unix.accept ~cloexec:true lfd
-
-let sys_accept t = sys_accept_on t t.listen_fd
 
 let sys_wait t sh ~timeout_ms =
   match Rt.Faults.decide t.faults Rt.Faults.Select with
@@ -290,12 +269,9 @@ let sys_close t fd =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     injected_error Rt.Faults.Close e
 
-(* Wake a shard out of its wait nap. Nonblocking pipe: a full pipe
-   already guarantees a pending wake, so EAGAIN is success. The wake
-   pipe is internal plumbing, not network I/O — it stays unshimmed. *)
-let wake_shard sh =
-  try ignore (Unix.write_substring sh.wake_w "!" 0 1)
-  with Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EPIPE | EBADF), _, _) -> ()
+(* Wake a shard out of its wait nap. The eventfd is internal plumbing,
+   not network I/O: it stays unshimmed. *)
+let wake_shard sh = Epoll.signal sh.wake
 
 let wake_all t = Array.iter wake_shard t.shards
 
@@ -413,40 +389,36 @@ let head_of_response resp =
    Admin connections are ordinary fd-colored events; only the response
    function differs. *)
 
-let net_view t =
-  let shard_view sh =
-    let accepted = Atomic.get sh.ctr.c_accepted in
-    let closed = Atomic.get sh.ctr.c_closed in
-    {
-      Admin.ns_id = sh.id;
-      (* Racy pair of monotone counters: closed is read second, so the
-         difference can transiently overcount but never go negative for
-         long — clamp anyway. *)
-      ns_conns_open = max 0 (accepted - closed);
-      ns_accepted = accepted;
-      ns_refused = Atomic.get sh.ctr.c_refused;
-      ns_closed = closed;
-      ns_failed = Atomic.get sh.ctr.c_failed;
-      ns_evicted = Atomic.get sh.ctr.c_evicted;
-      ns_parsed = Atomic.get sh.ctr.r_parsed;
-      ns_served = Atomic.get sh.ctr.r_served;
-      ns_req_failed = Atomic.get sh.ctr.r_failed;
-      ns_malformed = Atomic.get sh.ctr.r_malformed;
-      ns_too_large = Atomic.get sh.ctr.r_too_large;
-      ns_shed = Atomic.get sh.ctr.r_shed;
-      ns_inj_refused = Atomic.get sh.ctr.r_inj_refused;
-      ns_accept_errors = Atomic.get sh.ctr.a_errors;
-      ns_accept_backoffs = Atomic.get sh.ctr.a_backoffs;
-    }
-  in
+let stats_of_counters ~faults_injected c =
   {
-    Admin.n_backend = (match t.backend with Epoll.Epoll -> "epoll" | Epoll.Poll -> "poll");
-    n_port = t.bound_port;
+    conns_accepted = Atomic.get c.c_accepted;
+    conns_refused = Atomic.get c.c_refused;
+    conns_closed = Atomic.get c.c_closed;
+    conns_failed = Atomic.get c.c_failed;
+    conns_evicted = Atomic.get c.c_evicted;
+    reqs_parsed = Atomic.get c.r_parsed;
+    reqs_served = Atomic.get c.r_served;
+    reqs_failed = Atomic.get c.r_failed;
+    reqs_malformed = Atomic.get c.r_malformed;
+    reqs_too_large = Atomic.get c.r_too_large;
+    reqs_shed = Atomic.get c.r_shed;
+    injections_refused = Atomic.get c.r_inj_refused;
+    accept_errors = Atomic.get c.a_errors;
+    accept_backoffs = Atomic.get c.a_backoffs;
+    faults_injected;
+  }
+
+let shard_stats t =
+  Array.map (fun sh -> stats_of_counters ~faults_injected:0 sh.ctr) t.shards
+
+let net_view t =
+  {
+    Admin.n_port = t.bound_port;
     n_admin_port = t.admin_bound_port;
     n_live = Atomic.get t.live;
     n_draining = Atomic.get t.draining;
     n_faults_injected = Rt.Faults.injected t.faults;
-    n_shards = Array.map shard_view t.shards;
+    n_shards = shard_stats t;
   }
 
 let split_target target =
@@ -735,10 +707,9 @@ let set_interest sh conn ~read ~write =
 
 (* Attention: a handler finished touching [conn]. Recompute interest —
    and when output is stalled with no flush in flight, force a re-MOD
-   even if the mask is unchanged: on the epoll backend MOD re-arms the
-   edge (a writable edge consumed while a flush was already running
-   would otherwise be lost), on the poll backend level semantics make
-   it free. *)
+   even if the mask is unchanged: MOD re-arms the edge, and a writable
+   edge consumed while a flush was already running would otherwise be
+   lost. *)
 let attend_conn t sh conn =
   let draining = Atomic.get t.draining in
   let rd = want_read ~draining conn in
@@ -804,9 +775,10 @@ let accept_budget = 64
 let accept_backoff_base_ns = 50_000_000L (* 50 ms *)
 let accept_backoff_max_ns = 1_000_000_000L (* 1 s *)
 
-(* fd pressure (EMFILE/ENFILE) or an unexpected accept errno: take the
-   listener out of the interest set for an exponentially growing window
-   instead of re-arming a doomed accept at poller speed. *)
+(* fd pressure (EMFILE/ENFILE) or an unexpected accept errno: take both
+   listeners out of the interest set for an exponentially growing window
+   instead of re-arming a doomed accept at poller speed. One window
+   gates both, since fd pressure is process-wide. *)
 let accept_backoff sh ~now =
   Atomic.incr sh.ctr.a_errors;
   let step =
@@ -825,7 +797,7 @@ let accept_backoff sh ~now =
    audit, epoll registration (edge-triggered read), header deadline.
    Accepted/closed counters live on this shard, so the conservation
    identity [conns_accepted = conns_closed] holds per shard. *)
-let install_conn t sh ?(admin = false) fd =
+let install_conn t sh ~admin fd =
   if Atomic.get t.draining then begin
     (* Handed off just before the drain flag flipped: refuse cleanly. *)
     (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -875,18 +847,23 @@ let install_conn t sh ?(admin = false) fd =
       ~at:(Int64.add now (ns_of_seconds t.overload.header_deadline))
   end
 
-(* Accept loop, acceptor shard (id 0) only: accept up to [budget],
-   spread fresh fds round-robin across the shards. The acceptor bumps
-   [live] before handing off, so the cap is enforced at accept time;
-   the owning shard does everything else. *)
-let rec accept_batch t sh budget =
+(* Accept loop, acceptor shard (id 0) only, for either listener: accept
+   up to [budget]. Client fds spread round-robin across the shards; the
+   acceptor bumps [live] before handing off, so the cap is enforced at
+   accept time and the owning shard does everything else. Admin fds
+   install on the acceptor itself (the traffic is one scraper, not a
+   fleet) and bypass the [max_clients] cap so the plane answers when the
+   server is saturated; they still count in [live] and in this shard's
+   accepted/closed counters, so every conservation identity holds. *)
+let rec accept_loop t sh ~admin lfd budget =
   if
     budget > 0
-    && (Atomic.get t.draining || Atomic.get t.live < t.max_clients)
+    && (admin || Atomic.get t.draining || Atomic.get t.live < t.max_clients)
   then
-    match sys_accept t with
+    match sys_accept t lfd with
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (EINTR, _, _) -> accept_batch t sh budget
+    | exception Unix.Unix_error (EINTR, _, _) ->
+      accept_loop t sh ~admin lfd budget
     | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
       accept_backoff sh ~now:(Rt.Clock.now_ns ())
     | exception Unix.Unix_error (e, _, _) ->
@@ -899,47 +876,22 @@ let rec accept_batch t sh budget =
       if Atomic.get t.draining then begin
         (* Arriving mid-drain: refused cleanly, counted. *)
         (try Unix.close fd with Unix.Unix_error _ -> ());
-        Atomic.incr sh.ctr.c_refused;
-        accept_batch t sh (budget - 1)
-      end
-      else begin
-        Atomic.incr t.live;
-        let nshards = Array.length t.shards in
-        let target = t.shards.(sh.rr mod nshards) in
-        sh.rr <- sh.rr + 1;
-        if target == sh then install_conn t sh fd
-        else begin
-          handoff_push target fd;
-          wake_shard target
-        end;
-        accept_batch t sh (budget - 1)
-      end
-
-(* Admin accept loop, acceptor shard only. Admin connections install on
-   the acceptor shard itself (no hand-off: the traffic is one scraper,
-   not a fleet) and bypass the [max_clients] cap so the plane answers
-   precisely when the server is saturated. They still count in [live]
-   and in this shard's accepted/closed counters, so every conservation
-   identity holds unchanged. *)
-let rec accept_admin t sh afd budget =
-  if budget > 0 then
-    match sys_accept_on t afd with
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (EINTR, _, _) -> accept_admin t sh afd budget
-    | exception Unix.Unix_error (_, _, _) ->
-      (* fd pressure or a stray errno: drop this lap's attempt; the
-         level-triggered listener re-reports next lap. *)
-      Atomic.incr sh.ctr.a_errors
-    | fd, _ ->
-      if Atomic.get t.draining then begin
-        (try Unix.close fd with Unix.Unix_error _ -> ());
         Atomic.incr sh.ctr.c_refused
       end
       else begin
         Atomic.incr t.live;
-        install_conn t sh ~admin:true fd
+        if admin then install_conn t sh ~admin fd
+        else begin
+          let target = t.shards.(sh.rr mod Array.length t.shards) in
+          sh.rr <- sh.rr + 1;
+          if target == sh then install_conn t sh ~admin fd
+          else begin
+            handoff_push target fd;
+            wake_shard target
+          end
+        end
       end;
-      accept_admin t sh afd (budget - 1)
+      accept_loop t sh ~admin lfd (budget - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Deadline armor: evaluated lazily when the wheel fires a connection.
@@ -997,32 +949,19 @@ let check_deadlines t sh conn ~now =
     in
     Wheel.schedule sh.wheel conn.color ~at
 
-(* Satellite fix: the scratch lives on the shard, not a fresh
-   [Bytes.create 64] per wakeup lap. *)
-let drain_wake_pipe sh =
-  let b = sh.wake_buf in
-  let len = Bytes.length b in
-  let rec go () =
-    match Unix.read sh.wake_r b 0 len with
-    | n when n > 0 -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  in
-  go ()
+(* The acceptor's listeners are level-triggered: a budget-bounded
+   accept batch may leave connections pending, and they must re-report.
+   A listener stays in the interest set while [want] holds. *)
+let arm_listener sh fd listening want =
+  if want && not !listening then
+    Epoll.add sh.ep fd ~read:true ~write:false ~edge:false
+  else if (not want) && !listening then Epoll.remove sh.ep fd;
+  listening := want
 
 let shard_loop t sh =
   let is_acceptor = sh.id = 0 in
-  Epoll.add sh.ep sh.wake_r ~read:true ~write:false ~edge:false;
-  (* The admin listener is level-triggered and always armed on the
-     acceptor: admin conns bypass the client cap, and mid-drain arrivals
-     are refused in [accept_admin], so there is nothing to pause for. *)
-  (match t.admin_fd with
-  | Some afd when is_acceptor ->
-    Epoll.add sh.ep afd ~read:true ~write:false ~edge:false
-  | _ -> ());
-  (* The listener is level-triggered: a budget-bounded accept batch may
-     leave connections pending, and they must re-report. *)
-  let listening = ref false in
+  Epoll.add sh.ep sh.wake ~read:true ~write:false ~edge:false;
+  let listening = ref false and admin_listening = ref false in
   let drain_started = ref None in
   let finished = ref false in
   while not !finished do
@@ -1035,19 +974,13 @@ let shard_loop t sh =
       | Some t0 -> Rt.Clock.elapsed_seconds ~since:t0 > t.drain_deadline
     in
     if is_acceptor then begin
-      let now = Rt.Clock.now_ns () in
-      let want =
-        Int64.compare now sh.backoff_until >= 0
-        && (draining || Atomic.get t.live < t.max_clients)
-      in
-      if want && not !listening then begin
-        Epoll.add sh.ep t.listen_fd ~read:true ~write:false ~edge:false;
-        listening := true
-      end
-      else if (not want) && !listening then begin
-        Epoll.remove sh.ep t.listen_fd;
-        listening := false
-      end;
+      (* Admin conns bypass the client cap and mid-drain arrivals are
+         refused in [accept_loop], so only the backoff pauses the admin
+         listener. *)
+      let calm = Int64.compare (Rt.Clock.now_ns ()) sh.backoff_until >= 0 in
+      let want = calm && (draining || Atomic.get t.live < t.max_clients) in
+      arm_listener sh t.listen_fd listening want;
+      Option.iter (fun afd -> arm_listener sh afd admin_listening calm) t.admin_fd;
       Atomic.set t.listener_paused (not want)
     end;
     (match sys_wait t sh ~timeout_ms:50 with
@@ -1058,16 +991,14 @@ let shard_loop t sh =
     | n ->
       for i = 0 to n - 1 do
         let fd = Epoll.ready_fd sh.ep i in
-        if fd = sh.wake_r then drain_wake_pipe sh
+        if fd = sh.wake then Epoll.drain sh.wake
         else if is_acceptor && fd = t.listen_fd then
-          accept_batch t sh accept_budget
+          accept_loop t sh ~admin:false fd accept_budget
         else if
           is_acceptor
           && match t.admin_fd with Some afd -> fd = afd | None -> false
         then
-          (match t.admin_fd with
-          | Some afd -> accept_admin t sh afd accept_budget
-          | None -> ())
+          accept_loop t sh ~admin:true fd accept_budget
         else
           match Hashtbl.find_opt sh.conns (int_of_fd fd) with
           | None -> ()
@@ -1078,8 +1009,8 @@ let shard_loop t sh =
               if want_read ~draining conn then read_conn t sh conn
               else if conn.armed_read then
                 (* Not reading this connection any more: drop read
-                   interest so the level-triggered backend cannot spin
-                   on unconsumed bytes. *)
+                   interest so further bytes from the peer stop waking
+                   the shard. *)
                 set_interest sh conn ~read:false ~write:conn.armed_write
             end;
             if wr then begin
@@ -1107,7 +1038,7 @@ let shard_loop t sh =
     | [] -> ()
     | _ ->
       let fds = Atomic.exchange sh.handoff [] in
-      List.iter (fun fd -> install_conn t sh fd) (List.rev fds));
+      List.iter (fun fd -> install_conn t sh ~admin:false fd) (List.rev fds));
     (* Deadline armor: fire due wheel entries; stale entries (closed or
        recycled fds, moved deadlines) re-evaluate harmlessly. *)
     let now = Rt.Clock.now_ns () in
@@ -1188,7 +1119,7 @@ let default_app ~cache ~resp_404 (req : Httpkit.Request.t) =
 
 let read_buf_len = 16_384
 
-let create ~rt ?(shards = 1) ?backend ?(max_clients = 1024) ?(backlog = 128)
+let create ~rt ?(shards = 1) ?(max_clients = 1024) ?(backlog = 128)
     ?(max_request_bytes = 65_536) ?(drain_deadline = 5.0)
     ?(overload = default_overload) ?(faults = Rt.Faults.passthrough) ?app
     ?admin_port ~cache ~port () =
@@ -1200,11 +1131,6 @@ let create ~rt ?(shards = 1) ?backend ?(max_clients = 1024) ?(backlog = 128)
   then invalid_arg "Rtnet.Server.create: overload deadlines must be > 0";
   if overload.shed_pending_hwm < 0 then
     invalid_arg "Rtnet.Server.create: shed_pending_hwm must be >= 0";
-  let backend =
-    match backend with
-    | Some b -> b
-    | None -> if Epoll.available then Epoll.Epoll else Epoll.Poll
-  in
   (* A dropped client mid-write must not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listen_fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -1243,21 +1169,16 @@ let create ~rt ?(shards = 1) ?backend ?(max_clients = 1024) ?(backlog = 128)
         raise e)
   in
   let mk_shard id =
-    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-    Unix.set_nonblock wake_r;
-    Unix.set_nonblock wake_w;
     {
       id;
-      ep = Epoll.create ~backend ();
+      ep = Epoll.create ();
       conns = Hashtbl.create 64;
       wheel =
         Wheel.create ~granularity_ns:50_000_000L ~now:(Rt.Clock.now_ns ()) ();
-      wake_r;
-      wake_w;
+      wake = Epoll.eventfd ();
       attn = Atomic.make [];
       handoff = Atomic.make [];
       pool = Bufpool.create ~buf_len:read_buf_len ();
-      wake_buf = Bytes.create 64;
       ctr = make_counters ();
       backoff_until = 0L;
       backoff_ns = 0L;
@@ -1278,7 +1199,6 @@ let create ~rt ?(shards = 1) ?backend ?(max_clients = 1024) ?(backlog = 128)
     drain_deadline;
     overload;
     faults;
-    backend;
     listen_fd;
     bound_port;
     admin_fd;
@@ -1323,7 +1243,6 @@ let admin_port t =
   match t.admin_fd with None -> None | Some _ -> Some t.admin_bound_port
 
 let shard_count t = Array.length t.shards
-let backend t = t.backend
 let ownership_violations t = Atomic.get t.own_violations
 
 let bufpool_stats t =
@@ -1361,8 +1280,7 @@ let stop t =
     Array.iter
       (fun sh ->
         Epoll.close sh.ep;
-        close_quietly sh.wake_r;
-        close_quietly sh.wake_w)
+        close_quietly sh.wake)
       t.shards
   | Started ->
     t.state <- Stopped;
@@ -1371,39 +1289,13 @@ let stop t =
     List.iter Domain.join t.pollers;
     t.pollers <- [];
     (* The shards closed every connection, their epoll instances and
-       the listener. Any handler still unwinding its finally may touch
-       a wake pipe, so wait for the runtime to go quiescent before
+       the listeners. Any handler still unwinding its finally may signal
+       a wake eventfd, so wait for the runtime to go quiescent before
        closing them (quiesce returns immediately on a stopped or
        aborted runtime). *)
     Rt.Runtime.quiesce t.rt;
-    Array.iter
-      (fun sh ->
-        close_quietly sh.wake_r;
-        close_quietly sh.wake_w)
-      t.shards);
+    Array.iter (fun sh -> close_quietly sh.wake) t.shards);
   Mutex.unlock t.lifecycle
-
-let stats_of_counters ~faults_injected c =
-  {
-    conns_accepted = Atomic.get c.c_accepted;
-    conns_refused = Atomic.get c.c_refused;
-    conns_closed = Atomic.get c.c_closed;
-    conns_failed = Atomic.get c.c_failed;
-    conns_evicted = Atomic.get c.c_evicted;
-    reqs_parsed = Atomic.get c.r_parsed;
-    reqs_served = Atomic.get c.r_served;
-    reqs_failed = Atomic.get c.r_failed;
-    reqs_malformed = Atomic.get c.r_malformed;
-    reqs_too_large = Atomic.get c.r_too_large;
-    reqs_shed = Atomic.get c.r_shed;
-    injections_refused = Atomic.get c.r_inj_refused;
-    accept_errors = Atomic.get c.a_errors;
-    accept_backoffs = Atomic.get c.a_backoffs;
-    faults_injected;
-  }
-
-let shard_stats t =
-  Array.map (fun sh -> stats_of_counters ~faults_injected:0 sh.ctr) t.shards
 
 let stats t =
   let add a b =

@@ -2,10 +2,9 @@
     onto {!Rt.Runtime} and actual sockets.
 
     [shards] poller domains split the fd space over {!Epoll}
-    (edge-triggered epoll on Linux, a poll(2) fallback elsewhere and
-    for parity testing): each shard owns a disjoint slice of
-    connections — its own epoll instance, timer wheel, read-buffer
-    pool and wake pipe — and does everything for its slice: waits,
+    (edge-triggered epoll, so this module needs Linux): each shard owns
+    a disjoint slice of connections — its own epoll instance, timer
+    wheel, read-buffer pool and wake eventfd — and does everything for its slice: waits,
     reads, injects colored events ({!Rt.Runtime.try_register_batch},
     one gate decision per wait return, the shard id as placement
     hint), enforces deadlines, closes. Shard 0 additionally owns the
@@ -66,34 +65,11 @@
 
 type t
 
-type stats = {
-  conns_accepted : int;  (** connections the poller accepted *)
-  conns_refused : int;  (** connections refused while draining *)
-  conns_closed : int;  (** connections closed (any reason) *)
-  conns_failed : int;
-      (** connections dropped on I/O error or refused injection *)
-  conns_evicted : int;
-      (** connections evicted by a deadline: slow-loris 408, keep-alive
-          idle close, or write-progress stall *)
-  reqs_parsed : int;  (** complete requests parsed off the wire *)
-  reqs_served : int;  (** responses handed to the output buffer *)
-  reqs_failed : int;
-      (** app raised (500 sent, connection closed) or the connection
-          died before its queued request could be served *)
-  reqs_malformed : int;  (** parse errors; 400 sent, connection closed *)
-  reqs_too_large : int;
-      (** header block over [max_request_bytes]; 431 sent, closed *)
-  reqs_shed : int;
-      (** parsed but shed under overload; 503 sent, connection closed *)
-  injections_refused : int;
-      (** poller registers rejected by the runtime's shutdown gate *)
-  accept_errors : int;
-      (** accept failures other than EAGAIN/EINTR (EMFILE, ENFILE, …) *)
-  accept_backoffs : int;
-      (** times the acceptor left the select set to back off *)
-  faults_injected : int;
-      (** faults the {!Rt.Faults} plane injected (0 on passthrough) *)
-}
+include module type of struct
+  include Net_stats
+end
+(** [type stats = Net_stats.stats = { conns_accepted; ... }]: the
+    front end's counters, per shard or aggregated. *)
 
 type overload = {
   header_deadline : float;
@@ -118,7 +94,6 @@ val default_overload : overload
 val create :
   rt:Rt.Runtime.t ->
   ?shards:int ->
-  ?backend:Epoll.backend ->
   ?max_clients:int ->
   ?backlog:int ->
   ?max_request_bytes:int ->
@@ -134,9 +109,7 @@ val create :
 (** Bind a listening socket on [port] ([0] picks an ephemeral port,
     read it back with {!port}) and prepare the serving state; no domain
     is spawned yet. [shards] (default 1, must be >= 1) is the number of
-    poller shard domains; [backend] (default {!Epoll.Epoll} where
-    {!Epoll.available}, else {!Epoll.Poll}) selects the readiness
-    backend. [app] maps a parsed request to complete response
+    poller shard domains. [app] maps a parsed request to complete response
     bytes and may raise (the failure is contained); it defaults to a
     lookup in [cache] (the prebuilt-response Flash cache, see
     {!Httpkit.Response.prebuild_cache}) with 404 on miss and
@@ -172,9 +145,6 @@ val admin_port : t -> int option
     [~admin_port] ([Some 0] input picks an ephemeral port too). *)
 
 val shard_count : t -> int
-
-val backend : t -> Epoll.backend
-(** The readiness backend this server actually runs on. *)
 
 val stop : t -> unit
 (** Graceful drain: refuse new connections, let accepted requests

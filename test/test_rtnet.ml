@@ -69,14 +69,14 @@ let read_until_eof fd =
 
 let get path = Printf.sprintf "GET %s HTTP/1.1\r\nHost: t\r\n\r\n" path
 
-let with_server ?(workers = 2) ?trace ?shards ?backend ?max_clients ?app
-    ?admin_port body =
+let with_server ?(workers = 2) ?trace ?shards ?max_clients ?app ?admin_port
+    body =
   let rt = Rt.Runtime.create ~workers ?trace () in
   let cache = cache () in
   Rt.Runtime.start rt;
   let server =
-    Rtnet.Server.create ~rt ?shards ?backend ?max_clients ?app ?admin_port ~cache
-      ~port:0 ()
+    Rtnet.Server.create ~rt ?shards ?max_clients ?app ?admin_port ~cache ~port:0
+      ()
   in
   Rtnet.Server.start server;
   Fun.protect
@@ -347,55 +347,57 @@ let test_sharded_conservation () =
       Alcotest.(check bool) "read buffers were pooled" true (allocated > 0);
       Alcotest.(check bool) "read buffers were reused" true (reused > 0))
 
-(* The poll(2) fallback must serve byte-for-byte what epoll serves:
-   same workload under both backends, same outcome. (On a platform
-   without epoll both halves run the fallback, which still proves the
-   level-triggered path.) *)
-let test_backend_parity () =
-  let conns = 8 and requests = 30 in
-  let run_with backend =
-    let got = ref None in
-    with_server ~workers:2 ~shards:2 ~backend (fun _rt server cache ->
-        Alcotest.(check bool) "backend honored" true
-          (Rtnet.Server.backend server = backend
-          || not Rtnet.Epoll.available);
-        let r =
-          Rtnet.Loadgen.run ~port:(Rtnet.Server.port server) ~conns ~requests
-            ~pipeline:4 ~torn_every:5 ~concurrent:true ~close_last:true
-            ~targets:(targets cache) ()
-        in
-        Rtnet.Server.stop server;
-        let s = Rtnet.Server.stats server in
-        got :=
-          Some
-            ( r.responses_ok,
-              r.mismatches,
-              r.failed_conns,
-              s.conns_accepted,
-              s.conns_closed,
-              s.reqs_parsed,
-              s.reqs_served ));
-    Option.get !got
-  in
-  let total = conns * requests in
-  let check_outcome label (ok, mism, failed, acc, closed, parsed, served) =
-    let name s = Printf.sprintf "%s: %s" label s in
-    Alcotest.(check int) (name "all byte-exact") total ok;
-    Alcotest.(check int) (name "no mismatches") 0 mism;
-    Alcotest.(check int) (name "no failed conns") 0 failed;
-    Alcotest.(check int) (name "accepted") conns acc;
-    Alcotest.(check int) (name "accepted = closed") acc closed;
-    Alcotest.(check int) (name "parsed") total parsed;
-    Alcotest.(check int) (name "served") total served
-  in
-  let poll_outcome = run_with Rtnet.Epoll.Poll in
-  check_outcome "poll" poll_outcome;
-  if Rtnet.Epoll.available then begin
-    let epoll_outcome = run_with Rtnet.Epoll.Epoll in
-    check_outcome "epoll" epoll_outcome;
-    Alcotest.(check bool) "identical observable outcome" true
-      (poll_outcome = epoll_outcome)
-  end
+(* The kernel semantics the poller shards rely on, checked on a
+   socketpair: an edge-triggered registration reports written bytes
+   once, a second wait without reading reports nothing, and a MOD
+   re-arms it while the bytes are still unread ([attend_conn] and
+   [read_conn]'s budget exhaustion depend on that re-arm). *)
+let test_epoll_edge_rearm () =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let ep = Rtnet.Epoll.create () in
+  Fun.protect
+    ~finally:(fun () ->
+      Rtnet.Epoll.close ep;
+      Unix.close a;
+      Unix.close b)
+    (fun () ->
+      Rtnet.Epoll.add ep a ~read:true ~write:false ~edge:true;
+      Alcotest.(check int) "nothing before a write" 0
+        (Rtnet.Epoll.wait ep ~timeout_ms:0);
+      send b "ping";
+      Alcotest.(check int) "written bytes report" 1
+        (Rtnet.Epoll.wait ep ~timeout_ms:1000);
+      Alcotest.(check bool) "on the registered fd, readable" true
+        (Rtnet.Epoll.ready_fd ep 0 = a && Rtnet.Epoll.ready_readable ep 0);
+      Alcotest.(check int) "the edge reports once" 0
+        (Rtnet.Epoll.wait ep ~timeout_ms:0);
+      Rtnet.Epoll.modify ep a ~read:true ~write:false ~edge:true;
+      Alcotest.(check int) "MOD re-arms while bytes are unread" 1
+        (Rtnet.Epoll.wait ep ~timeout_ms:0))
+
+(* A shard's wake channel: k signals before a wait give one readable
+   report, and one drain leaves a 0 ms wait empty. *)
+let test_eventfd_wake_coalesces () =
+  let ep = Rtnet.Epoll.create () in
+  let w = Rtnet.Epoll.eventfd () in
+  Fun.protect
+    ~finally:(fun () ->
+      Rtnet.Epoll.close ep;
+      Unix.close w)
+    (fun () ->
+      Rtnet.Epoll.add ep w ~read:true ~write:false ~edge:false;
+      Rtnet.Epoll.drain w;
+      Alcotest.(check int) "no wake pending" 0 (Rtnet.Epoll.wait ep ~timeout_ms:0);
+      for _ = 1 to 5 do
+        Rtnet.Epoll.signal w
+      done;
+      Alcotest.(check int) "5 signals, one report" 1
+        (Rtnet.Epoll.wait ep ~timeout_ms:0);
+      Alcotest.(check bool) "the wake fd, readable" true
+        (Rtnet.Epoll.ready_fd ep 0 = w && Rtnet.Epoll.ready_readable ep 0);
+      Rtnet.Epoll.drain w;
+      Alcotest.(check int) "one drain empties it" 0
+        (Rtnet.Epoll.wait ep ~timeout_ms:0))
 
 (* ------------------------------------------------------------------ *)
 (* Admin plane: /metrics, /stats.json and /healthz served by the same
@@ -644,8 +646,8 @@ let suite =
     Alcotest.test_case
       "sharded: per-shard conservation under torn concurrent load" `Quick
       test_sharded_conservation;
-    Alcotest.test_case "sharded: epoll and poll backends serve identically"
-      `Quick test_backend_parity;
+    Alcotest.test_case "epoll: an edge reports once, MOD re-arms" `Quick
+      test_epoll_edge_rearm;
     Alcotest.test_case "lifecycle: server drain under traffic + fd conservation"
       `Quick test_server_stop_under_traffic;
     Alcotest.test_case "lifecycle: runtime stop under traffic" `Quick
@@ -661,4 +663,6 @@ let suite =
       test_admin_endpoints;
     Alcotest.test_case "admin: /healthz flips 200 -> 503 across drain" `Quick
       test_admin_healthz_drain_flip;
+    Alcotest.test_case "epoll: eventfd wakes coalesce, one drain empties"
+      `Quick test_eventfd_wake_coalesces;
   ]

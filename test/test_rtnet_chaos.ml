@@ -68,13 +68,13 @@ let read_until_eof fd =
 let get path = Printf.sprintf "GET %s HTTP/1.1\r\nHost: t\r\n\r\n" path
 
 let with_server ?(workers = 2) ?trace ?shards ?max_request_bytes ?overload
-    ?faults body =
+    ?faults ?admin_port body =
   let rt = Rt.Runtime.create ~workers ?trace () in
   let cache = cache () in
   Rt.Runtime.start rt;
   let server =
-    Rtnet.Server.create ~rt ?shards ?max_request_bytes ?overload ?faults ~cache
-      ~port:0 ()
+    Rtnet.Server.create ~rt ?shards ?max_request_bytes ?overload ?faults
+      ?admin_port ~cache ~port:0 ()
   in
   Rtnet.Server.start server;
   Fun.protect
@@ -288,16 +288,17 @@ let test_idle_close () =
       Alcotest.(check int) "served stays clean" 1 s.reqs_served;
       Alcotest.(check int) "accepted = closed" s.conns_accepted s.conns_closed)
 
+(* Every accept fails with EMFILE until the test calms the plan. *)
+let starved =
+  {
+    Rt.Faults.calm_plan with
+    accept = { Rt.Faults.calm with errnos = [ (Unix.EMFILE, 1.0) ] };
+  }
+
 (* EMFILE on accept: the acceptor backs off (counted) instead of
    hot-looping, and recovers as soon as descriptors free up (here:
    the fault plan calms down). *)
 let test_emfile_recovery () =
-  let starved =
-    {
-      Rt.Faults.calm_plan with
-      accept = { Rt.Faults.calm with errnos = [ (Unix.EMFILE, 1.0) ] };
-    }
-  in
   let faults = Rt.Faults.seeded ~plan:starved 7 in
   with_server ~faults (fun _rt server cache ->
       let port = Rtnet.Server.port server in
@@ -314,6 +315,30 @@ let test_emfile_recovery () =
       let s = Rtnet.Server.stats server in
       Alcotest.(check bool) "accept errors counted" true (s.accept_errors >= 1);
       Alcotest.(check bool) "backoffs counted" true (s.accept_backoffs >= 1))
+
+(* The admin listener shares the acceptor's backoff window: fd pressure
+   is process-wide, so a pending admin connection under EMFILE must not
+   spin the acceptor through failed accepts at poller speed either. The
+   scrape is answered once the plan calms down. *)
+let test_admin_emfile_backoff () =
+  let faults = Rt.Faults.seeded ~plan:starved 7 in
+  with_server ~faults ~admin_port:0 (fun _rt server _cache ->
+      let c = connect (Option.get (Rtnet.Server.admin_port server)) in
+      send c (get "/healthz");
+      Unix.sleepf 0.4;
+      let errors = (Rtnet.Server.stats server).accept_errors in
+      Alcotest.(check bool)
+        (Printf.sprintf "accept errors in 1..20 (got %d)" errors)
+        true
+        (errors >= 1 && errors <= 20);
+      Rt.Faults.set_plan faults Rt.Faults.calm_plan;
+      let expected =
+        Httpkit.Response.build ~content_type:"text/plain" ~keep_alive:true
+          ~body:"ok\n" ()
+      in
+      Alcotest.(check string) "served after recovery" expected
+        (read_n c (String.length expected));
+      Unix.close c)
 
 (* Miniature chaos run: hostile fault schedule on every syscall site,
    real load, and the books must still balance — no response-byte
@@ -376,6 +401,8 @@ let suite =
       test_idle_close;
     Alcotest.test_case "accept: EMFILE backoff and recovery" `Quick
       test_emfile_recovery;
+    Alcotest.test_case "accept: EMFILE backoff covers the admin listener" `Quick
+      test_admin_emfile_backoff;
     Alcotest.test_case "chaos: conservation under a hostile fault schedule" `Slow
       test_mini_chaos_conservation;
   ]
