@@ -6,10 +6,11 @@
 # sides of pair k). Each run's last line, its JSON result, is
 # appended to OUT/base/W.jsonl or OUT/change/W.jsonl and its full report
 # to W.log beside it; `melyctl perf-gate` then judges the two
-# directories. One extra `--trace 1` run per workload on the change side
-# keeps its per-layer report (rt.park_share, rt.busy_ratio,
-# rt.steal_attempts, rt.parks_per_kop, ...) in OUT/change/W.traced.log
-# as evidence for the artifact; it is not judged. Before the pairs,
+# directories. One extra `--trace 1` run per workload on each side keeps
+# its per-layer report (rt.events_per_op, rt.park_share, rt.busy_ratio,
+# rt.steal_attempts, rt.parks_per_kop, ...) in OUT/base/W.traced.log and
+# OUT/change/W.traced.log, so the artifact shows every layer before and
+# after the change; these runs are not judged. Before the pairs,
 # the deterministic simulator reproduction (`bench/main.exe --quick`)
 # runs on both sides into OUT/base/bench-quick.txt and
 # OUT/change/bench-quick.txt; if the two differ while EXPERIMENTS.md is
@@ -63,6 +64,8 @@ for w in $workloads; do
       run base "$base_tree" "$w" "$k"
     fi
   done
+  bash "$base_tree/perfbench/run.sh" --workload "$w" --seed 1 --seconds "$seconds" --trace 1 \
+    > "$out/base/$w.traced.log" 2>&1 || true
   bash perfbench/run.sh --workload "$w" --seed 1 --seconds "$seconds" --trace 1 \
     > "$out/change/$w.traced.log" 2>&1 || true
 done

@@ -14,9 +14,15 @@
      mutual exclusion is the lock.
    - The two sides communicate through atomics ([inflight],
      [want_write], [flush_pending], [wants_close], [failed]) plus a
-     per-shard attention stack: a handler that changed a connection's
-     state pushes the fd and wakes the owning shard, which re-examines
-     just that connection — no O(conns) sweep per lap.
+     per-shard attention stack. Only the shard raises [inflight], once
+     per event it injects; every event ends by dropping it, pushing the
+     fd and waking the owning shard, which re-examines just that
+     connection — no O(conns) sweep per lap.
+   - One read event parses every request its bytes complete and
+     answers each inline, in wire order: the fd color serializes a
+     connection's events anyway, so a per-request event would buy no
+     parallelism. Rejects (400/431/503), the app-failure 500 and the
+     408 eviction share one answer-and-close path.
 
    Connection readiness is edge-triggered: reads drain to EAGAIN (or
    re-arm with a MOD when the budget runs out), and write interest is
@@ -28,10 +34,11 @@
    Overload armor (DESIGN.md §5f): every network syscall goes through
    the [Rt.Faults] shim; per-shard timer wheels enforce per-connection
    deadlines (header-read 408, keep-alive idle, write-progress);
-   header blocks over [max_request_bytes] get a 431; requests parsed
-   while the runtime backlog is past [overload.shed_pending_hwm] are
-   shed with a 503 + close; EMFILE/ENFILE on accept backs the acceptor
-   off exponentially.
+   header blocks over [max_request_bytes] get a 431; a request parsed
+   once the runtime backlog plus the requests its read event already
+   answered reaches [overload.shed_pending_hwm] is shed with a 503 +
+   close; EMFILE/ENFILE on accept backs the acceptor off
+   exponentially.
 
    Conservation identities hold per shard and in aggregate: a
    connection is accepted, served and closed by the same shard, and
@@ -188,7 +195,6 @@ type t = {
   own_tbl : (int, int) Hashtbl.t;  (** fd -> owning shard id *)
   own_violations : int Atomic.t;
   h_read : Rt.Runtime.handler;
-  h_respond : Rt.Runtime.handler;
   h_flush : Rt.Runtime.handler;
   h_evict : Rt.Runtime.handler;
   resp_400 : string;
@@ -279,9 +285,10 @@ let rec attn_push sh fd =
   let old = Atomic.get sh.attn in
   if not (Atomic.compare_and_set sh.attn old (fd :: old)) then attn_push sh fd
 
-(* A handler changed [conn]'s shared state: queue the fd for the owning
-   shard's next lap and cut its nap short. Replaces the old global
-   [wake] — the shard re-examines one connection, not the whole table. *)
+(* A connection event ended, maybe having changed [conn]'s shared state:
+   queue the fd for the owning shard's next lap and cut its nap short.
+   Called once per event, from its finally; the shard re-examines one
+   connection, not the whole table. *)
 let attend conn =
   let sh = conn.shard in
   attn_push sh conn.color;
@@ -325,6 +332,12 @@ let rec advance_outq conn w =
     else sl.off <- sl.off + w
   end
 
+(* Stop parsing and ask the shard to close once the output is written.
+   The shard sees the request when the running event ends. *)
+let finish_conn conn =
+  conn.stop_parsing <- true;
+  Atomic.set conn.wants_close true
+
 (* Flush as much of [conn.outq] as the socket takes, gathering up to
    [writev_slices] slices per writev; a short write bumps the front
    slice's offset (no re-copy) and raises write interest for the
@@ -350,25 +363,18 @@ let try_write t conn =
         if w > 0 then Atomic.set conn.last_progress (Rt.Clock.now_ns ());
         go ()
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-        Atomic.set conn.want_write true;
-        attend conn
+        Atomic.set conn.want_write true
       | exception Unix.Unix_error (EINTR, _, _) -> go ()
       | exception Unix.Unix_error (_, _, _) ->
-        (* Peer gone (EPIPE/ECONNRESET/...): drop the buffered output
-           and let the shard reap the connection. *)
+        (* Peer gone (EPIPE/ECONNRESET/...): drop the buffered output,
+           parse nothing more and let the shard reap the connection. *)
         Queue.clear conn.outq;
         Atomic.set conn.want_write false;
         Atomic.set conn.failed true;
-        Atomic.set conn.wants_close true;
-        attend conn
+        finish_conn conn
     end
   in
   go ()
-
-let finish_conn conn =
-  conn.stop_parsing <- true;
-  Atomic.set conn.wants_close true;
-  attend conn
 
 (* Headers-only variant of a prebuilt response, for HEAD: everything up
    to and including the blank line (Content-Length intact, as HEAD
@@ -478,69 +484,48 @@ let admin_respond t (req : Httpkit.Request.t) =
   | Httpkit.Request.HEAD -> head_of_response full
   | _ -> full
 
+(* Answer with a prebuilt [Connection: close] response and close once it
+   is written: the 400/431/503 rejects, the app-failure 500 and the 408
+   eviction. A connection whose peer already failed gets nothing. *)
+let answer_and_close t conn response =
+  if not (Atomic.get conn.failed) then queue_out conn response;
+  finish_conn conn;
+  try_write t conn
+
 (* Serve one parsed request: app → slice queue → write attempt. An app
    exception is answered with a 500, closes this one connection, and is
    re-raised so the runtime contains and counts it — sibling
-   connections never notice. A request whose connection already failed
-   counts as failed too, so [reqs_parsed = served + failed + shed]
-   holds (per shard) even when the peer vanished mid-pipeline. *)
-let respond t conn req ~close_after (_ctx : Rt.Runtime.ctx) =
-  Fun.protect ~finally:(fun () ->
-      Atomic.decr conn.inflight;
-      attend conn)
-  @@ fun () ->
-  if Atomic.get conn.failed then Atomic.incr conn.shard.ctr.r_failed
-  else
-    match if conn.admin then admin_respond t req else t.app req with
-    | response ->
-      queue_out conn response;
-      Atomic.incr conn.shard.ctr.r_served;
-      Atomic.set conn.last_progress (Rt.Clock.now_ns ());
-      (* An admin response sent mid-drain says [Connection: close]
-         (see [admin_respond]); closing here makes the header true and
-         lets the drain finish instead of waiting out the grace. *)
-      if close_after || (conn.admin && Atomic.get t.draining) then
-        finish_conn conn;
-      try_write t conn
-    | exception e ->
-      Atomic.incr conn.shard.ctr.r_failed;
-      queue_out conn t.resp_500;
-      finish_conn conn;
-      try_write t conn;
-      raise e
+   connections never notice, and requests pipelined behind it are never
+   parsed. *)
+let respond t conn req =
+  match if conn.admin then admin_respond t req else t.app req with
+  | response ->
+    queue_out conn response;
+    Atomic.incr conn.shard.ctr.r_served;
+    Atomic.set conn.last_progress (Rt.Clock.now_ns ());
+    (* An admin response sent mid-drain says [Connection: close] (see
+       [admin_respond]); closing here makes the header true and lets the
+       drain finish instead of waiting out the grace. *)
+    if
+      (not (Httpkit.Request.keep_alive req))
+      || (conn.admin && Atomic.get t.draining)
+    then finish_conn conn;
+    try_write t conn
+  | exception e ->
+    Atomic.incr conn.shard.ctr.r_failed;
+    answer_and_close t conn t.resp_500;
+    raise e
 
-(* Reject with a prebuilt response and close: 400 for syntax, 431 for
-   an oversized header block, 503 for load shed. The response is
-   appended by a follow-up event of the same color, not inline —
-   earlier pipelined requests already have respond events queued, and
-   per-color FIFO is what keeps the reject *after* their bytes on the
-   wire. [note] runs inside that event (trace rings are single-writer
-   per executing worker). *)
-let reject t conn response counter ?note (ctx : Rt.Runtime.ctx) =
-  Atomic.incr counter;
-  conn.stop_parsing <- true;
-  Atomic.incr conn.inflight;
-  ctx.register ~color:conn.color ~handler:t.h_respond
-    (fun (ictx : Rt.Runtime.ctx) ->
-      Fun.protect ~finally:(fun () ->
-          Atomic.decr conn.inflight;
-          attend conn)
-      @@ fun () ->
-      (match note with Some f -> f ictx | None -> ());
-      if Atomic.get conn.failed then finish_conn conn
-      else begin
-        queue_out conn response;
-        finish_conn conn;
-        try_write t conn
-      end)
-
-(* Parse every complete request accumulated so far, registering one
-   respond event per request (same color: responses stay in request
-   order). [scan_hint] makes the Incomplete retries O(new bytes).
-   A request parsed while the runtime backlog is past the high-water
-   mark is answered 503 + close instead of queued — the budget bounds
-   in-flight work no matter how fast requests arrive. *)
-let rec parse_loop t conn (ctx : Rt.Runtime.ctx) =
+(* Parse every complete request accumulated so far and answer each one
+   inline, in wire order, inside this read event: a connection's events
+   are serialized by its color anyway, so a separate respond event would
+   buy no parallelism. [scan_hint] makes the Incomplete retries O(new
+   bytes). The shed budget counts requests: once the runtime backlog
+   plus the requests this event has already [answered] reaches the
+   high-water mark, the request is answered 503 + close — the budget
+   bounds in-flight work no matter how many requests one read
+   carries. *)
+let rec parse_loop t conn ~answered (ctx : Rt.Runtime.ctx) =
   if not conn.stop_parsing then
     match
       Httpkit.Request.parse ~scan_from:conn.scan_hint ~limit:t.max_request_bytes
@@ -550,9 +535,11 @@ let rec parse_loop t conn (ctx : Rt.Runtime.ctx) =
       conn.scan_hint <- String.length conn.pending;
       Atomic.set conn.partial (String.length conn.pending > 0)
     | Error (Httpkit.Request.Too_large _) ->
-      reject t conn t.resp_431 conn.shard.ctr.r_too_large ctx
+      Atomic.incr conn.shard.ctr.r_too_large;
+      answer_and_close t conn t.resp_431
     | Error (Httpkit.Request.Malformed _) ->
-      reject t conn t.resp_400 conn.shard.ctr.r_malformed ctx
+      Atomic.incr conn.shard.ctr.r_malformed;
+      answer_and_close t conn t.resp_400
     | Ok (req, consumed) ->
       conn.pending <-
         String.sub conn.pending consumed (String.length conn.pending - consumed);
@@ -565,24 +552,23 @@ let rec parse_loop t conn (ctx : Rt.Runtime.ctx) =
         (* The admin plane must answer precisely when the server is
            overloaded — scrapes bypass the shed check. *)
         (not conn.admin)
-        && Rt.Runtime.pending t.rt >= t.overload.shed_pending_hwm
-      then
-        reject t conn t.resp_503 conn.shard.ctr.r_shed ctx
-          ~note:(fun ictx ->
-            Rt.Runtime.note_shed t.rt ~worker:ictx.worker ~color:conn.color)
+        && Rt.Runtime.pending t.rt + answered >= t.overload.shed_pending_hwm
+      then begin
+        Atomic.incr conn.shard.ctr.r_shed;
+        Rt.Runtime.note_shed t.rt ~worker:ctx.worker ~color:conn.color;
+        answer_and_close t conn t.resp_503
+      end
       else begin
-        let close_after = not (Httpkit.Request.keep_alive req) in
-        if close_after then conn.stop_parsing <- true;
-        Atomic.incr conn.inflight;
-        ctx.register ~color:conn.color ~handler:t.h_respond
-          (respond t conn req ~close_after);
-        if not close_after then parse_loop t conn ctx
+        respond t conn req;
+        parse_loop t conn ~answered:(answered + 1) ctx
       end
 
 (* The read event: the shard checked [buf] out of its pool and read
    [len] wire bytes into it; copy them into the parse state and recycle
    the buffer — the one unavoidable copy, paid on a worker instead of
-   the poller. *)
+   the poller. Like every connection event, it ends by dropping the
+   [inflight] count the shard raised when it injected the event and
+   queueing the fd for the shard's next lap. *)
 let on_chunk t conn buf len ctx =
   Fun.protect ~finally:(fun () ->
       Atomic.decr conn.inflight;
@@ -592,7 +578,7 @@ let on_chunk t conn buf len ctx =
   Bufpool.recycle conn.shard.pool buf;
   if not conn.stop_parsing then begin
     conn.pending <- (if conn.pending = "" then chunk else conn.pending ^ chunk);
-    parse_loop t conn ctx
+    parse_loop t conn ~answered:0 ctx
   end
 
 let on_writable t conn (_ctx : Rt.Runtime.ctx) =
@@ -612,12 +598,7 @@ let on_evict t conn (ctx : Rt.Runtime.ctx) =
       attend conn)
   @@ fun () ->
   Rt.Runtime.note_evict t.rt ~worker:ctx.worker ~color:conn.color;
-  if Atomic.get conn.failed then finish_conn conn
-  else begin
-    queue_out conn t.resp_408;
-    finish_conn conn;
-    try_write t conn
-  end
+  answer_and_close t conn t.resp_408
 
 (* ------------------------------------------------------------------ *)
 (* Poller-shard side. *)
@@ -1210,9 +1191,8 @@ let create ~rt ?(shards = 1) ?(max_clients = 1024) ?(backlog = 128)
     own_tbl = Hashtbl.create 64;
     own_violations = Atomic.make 0;
     (* Declared cycles feed the time-left heuristic: a connection with
-       a backlog of requests is worth stealing. *)
+       a backlog of reads is worth stealing. *)
     h_read = Rt.Runtime.handler rt ~name:"net.read" ~declared_cycles:30_000 ();
-    h_respond = Rt.Runtime.handler rt ~name:"net.respond" ~declared_cycles:40_000 ();
     h_flush = Rt.Runtime.handler rt ~name:"net.flush" ~declared_cycles:10_000 ();
     h_evict = Rt.Runtime.handler rt ~name:"net.evict" ~declared_cycles:10_000 ();
     resp_400 =

@@ -20,29 +20,34 @@
     connection's color (parse state, output slice queue), or only by
     the owning shard (fd lifetime, readiness interest); the two sides
     talk through a few atomics ([inflight], [want_write],
-    [wants_close]) plus a per-shard attention stack (a handler that
-    changed connection state queues the fd for the shard's next lap).
-    The shard closes an fd only once no event of that connection is
-    queued or executing, so a handler can never write into a recycled
+    [wants_close]) plus a per-shard attention stack. Only the shard
+    raises [inflight], once per event it injects; every event ends by
+    dropping it and queueing the fd for the shard's next lap. The shard
+    closes an fd only once no event of that connection is queued or
+    executing, so a handler can never write into a recycled
     descriptor.
 
     Per-connection state machine: accumulate bytes →
     {!Httpkit.Request.parse} (with the resume hint, so torn requests
     cost O(bytes) not O(bytes²)) → serve pipelined keep-alive requests
-    from the response cache → retry short writes when the socket
-    drains. A malformed request gets a [400] and closes that one
-    connection; a raising handler gets a [500], closes that one
-    connection, and is contained by the runtime — sibling connections
-    keep serving either way.
+    from the response cache, each answered inside the read event that
+    parsed it, in wire order → retry short writes when the socket
+    drains. One read event is one runtime event, however many requests
+    its bytes complete. A malformed request gets a [400] and closes that
+    one connection; a raising handler gets a [500], closes that one
+    connection (requests pipelined behind it are not answered), and is
+    contained by the runtime — sibling connections keep serving either
+    way.
 
     Overload armor (DESIGN.md §5f): a header block that never completes
     within [overload.header_deadline] is evicted with a [408] (slow
     loris), a header block over [max_request_bytes] gets a [431], an
     idle keep-alive connection is closed quietly after
     [overload.idle_deadline], a peer that stops draining our output for
-    [overload.write_deadline] is dropped, requests parsed while the
-    runtime backlog is at or past [overload.shed_pending_hwm] are shed
-    with a [503 + Connection: close], and EMFILE/ENFILE on accept backs
+    [overload.write_deadline] is dropped, a request parsed once the
+    runtime backlog plus the requests its read event already answered
+    reaches [overload.shed_pending_hwm] is shed with a
+    [503 + Connection: close], and EMFILE/ENFILE on accept backs
     the acceptor off exponentially (50 ms doubling to 1 s) instead of
     hot-looping. Every one of these shows up in {!stats}, in the
     worker's {!Rt.Telemetry.counters} (sheds / evictions) and — when
@@ -82,9 +87,10 @@ type overload = {
       (** seconds without write progress while output is pending before
           the connection is dropped *)
   shed_pending_hwm : int;
-      (** runtime backlog ({!Rt.Runtime.pending}) at or above which
-          newly parsed requests are shed with a 503; [0] sheds
-          everything (useful in tests) *)
+      (** shed budget in requests: a newly parsed request is shed with
+          a 503 once the runtime backlog ({!Rt.Runtime.pending}) plus
+          the requests its read event has already answered reaches this
+          value; [0] sheds everything (useful in tests) *)
 }
 
 val default_overload : overload

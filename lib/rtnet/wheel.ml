@@ -1,20 +1,24 @@
 (* Hashed timer wheel, poller-domain only — no locking.
 
    Buckets are keyed by deadline tick modulo the slot count. [advance]
-   visits each tick's bucket once per lap; an entry whose deadline is
-   more than one revolution out is seen early, found not yet due
-   ([at > now]), and left in place for the next lap — O(1) amortized
-   per entry per lap, which is fine at poller cadence. *)
+   visits each past tick's bucket once per lap, and the current tick's
+   bucket on every call until that tick has passed; an entry whose
+   deadline is more than one revolution out is seen early, found not
+   yet due ([at > now]), and left in place for the next lap — O(1)
+   amortized per entry per lap, which is fine at poller cadence. *)
 
 type t = {
   slots : (int, int64) Hashtbl.t array;  (* key -> absolute deadline ns *)
   overdue : (int, int64) Hashtbl.t;
-      (* entries scheduled at-or-behind the cursor's tick: their bucket
+      (* entries scheduled at or behind the cursor's tick: their bucket
          was already visited this revolution, so [advance] would only
          find them a full revolution later (slots x granularity). They
          go here instead and every [advance] checks them first. *)
   granularity_ns : int64;
-  mutable cursor : int64;  (* last processed tick *)
+  mutable cursor : int64;
+      (* last tick wholly in the past: its bucket holds nothing due
+         before the next revolution. The current tick is never wholly
+         past, so every [advance] revisits its bucket. *)
 }
 
 let create ?(slots = 128) ~granularity_ns ~now () =
@@ -25,7 +29,7 @@ let create ?(slots = 128) ~granularity_ns ~now () =
     slots = Array.init slots (fun _ -> Hashtbl.create 8);
     overdue = Hashtbl.create 8;
     granularity_ns;
-    cursor = Int64.div now granularity_ns;
+    cursor = Int64.pred (Int64.div now granularity_ns);
   }
 
 let slot_of t at =
@@ -35,9 +39,9 @@ let slot_of t at =
 let schedule t key ~at =
   let tick = Int64.div at t.granularity_ns in
   if Int64.compare tick t.cursor <= 0 then begin
-    (* Already due (or due within the current tick): the cursor has
-       passed this bucket. Keep one entry per key: drop any stale slot
-       entry so a later fire cannot double-report. *)
+    (* Already due: the cursor has passed this bucket. Keep one entry
+       per key: drop any stale slot entry so a later fire cannot
+       double-report. *)
     Hashtbl.remove t.slots.(slot_of t at) key;
     Hashtbl.replace t.overdue key at
   end
@@ -83,7 +87,10 @@ let advance t ~now ~fire =
         fire key)
       !due
   done;
-  t.cursor <- tick
+  (* An entry of the current tick that is not yet due was just skipped:
+     leave the cursor one tick back so the next walk visits this bucket
+     again instead of a revolution later. *)
+  t.cursor <- Int64.pred tick
 
 let pending t =
   Hashtbl.length t.overdue

@@ -26,16 +26,18 @@ val schedule : t -> int -> at:int64 -> unit
     bucket may leave a stale entry behind, which the fire callback must
     tolerate (it re-evaluates and re-arms, so a stale fire is a no-op).
 
-    A deadline at or behind the cursor's current tick goes to a
-    dedicated overdue set that the next {!advance} always visits — the
-    naive bucket placement would park it in a slot the cursor already
-    passed this revolution and fire it a full revolution
+    A deadline in a tick that has wholly passed goes to a dedicated
+    overdue set that the next {!advance} always visits — the naive
+    bucket placement would park it in a slot the cursor already passed
+    this revolution and fire it a full revolution
     (slots × granularity) late. *)
 
 val advance : t -> now:int64 -> fire:(int -> unit) -> unit
 (** Process every tick between the previous [advance] and [now]: fire
     and remove entries with [at <= now] (overdue entries first), keep
-    the rest for a later lap. *)
+    the rest for a later lap. The bucket of [now]'s own tick is visited
+    again by the next [advance], so an entry of the current tick that is
+    not yet due fires as soon as it is, not a revolution later. *)
 
 val pending : t -> int
 (** Entries currently armed (includes not-yet-collected stale ones). *)

@@ -225,6 +225,31 @@ let test_raising_handler_contained () =
       Alcotest.(check int) "parsed = served + failed" s.reqs_parsed
         (s.reqs_served + s.reqs_failed))
 
+(* A raising app on a pipelined connection: the request before it is
+   answered, the failing one gets the 500 with [Connection: close], and
+   the request pipelined behind it is never parsed or answered. *)
+let test_pipelined_500_closes () =
+  let cache_for_app = cache () in
+  let app (req : Httpkit.Request.t) =
+    if req.Httpkit.Request.target = "/boom" then failwith "handler exploded"
+    else Hashtbl.find cache_for_app req.Httpkit.Request.target
+  in
+  with_server ~workers:2 ~app (fun _rt server cache ->
+      let expected = Hashtbl.find cache "/f2.html" in
+      let c = connect (Rtnet.Server.port server) in
+      send c (get "/f2.html" ^ get "/boom" ^ get "/f2.html");
+      Alcotest.(check string) "first request served" expected
+        (read_n c (String.length expected));
+      Alcotest.(check string) "then the 500" resp_500
+        (read_n c (String.length resp_500));
+      Alcotest.(check string) "then EOF, nothing more" "" (read_until_eof c);
+      Unix.close c;
+      Rtnet.Server.stop server;
+      let s = Rtnet.Server.stats server in
+      Alcotest.(check int) "parsed" 2 s.reqs_parsed;
+      Alcotest.(check int) "served" 1 s.reqs_served;
+      Alcotest.(check int) "failed" 1 s.reqs_failed)
+
 (* Malformed bytes 400-close their own connection and nothing else. *)
 let test_malformed_contained () =
   with_server ~workers:2 (fun _rt server cache ->
@@ -665,4 +690,6 @@ let suite =
       test_admin_healthz_drain_flip;
     Alcotest.test_case "epoll: eventfd wakes coalesce, one drain empties"
       `Quick test_eventfd_wake_coalesces;
+    Alcotest.test_case "containment: a 500 ends a pipelined connection"
+      `Quick test_pipelined_500_closes;
   ]

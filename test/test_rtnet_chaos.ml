@@ -178,6 +178,23 @@ let test_wheel_same_lap () =
   Alcotest.(check (list int)) "fires at the rescheduled deadline" [ 7 ] !fired2;
   Alcotest.(check int) "drained" 0 (Rtnet.Wheel.pending w)
 
+(* An entry of the current tick that is not yet due when [advance] walks
+   its bucket must fire on the first advance past its deadline, not one
+   revolution (128 x 50 ms = 6.4 s) later. Every header, idle and write
+   deadline runs through this path. *)
+let test_wheel_current_tick () =
+  let ms n = Int64.mul (Int64.of_int n) 1_000_000L in
+  let w = Rtnet.Wheel.create ~granularity_ns:(ms 50) ~now:0L () in
+  Rtnet.Wheel.schedule w 1 ~at:(ms 120);
+  let fired = ref [] in
+  List.iter
+    (fun n ->
+      Rtnet.Wheel.advance w ~now:(ms n) ~fire:(fun k -> fired := (n, k) :: !fired))
+    [ 110; 130; 200; 1000 ];
+  Alcotest.(check (list (pair int int)))
+    "fires at the first advance past its deadline" [ (130, 1) ] !fired;
+  Alcotest.(check int) "drained" 0 (Rtnet.Wheel.pending w)
+
 (* ------------------------------------------------------------------ *)
 (* Status paths. *)
 
@@ -205,6 +222,40 @@ let test_shed_503 () =
           0 (Rt.Runtime.telemetry_snapshot rt).s_workers
       in
       Alcotest.(check int) "metrics counted the shed" 1 sheds)
+
+(* The shed budget is counted in requests, and one read event answers
+   every request its bytes complete: with a budget of 4, one write of 8
+   pipelined GETs gets 4 byte-exact 200s, one 503 and a close, all from
+   the one read event (fewer than 5 runtime events in all). *)
+let test_shed_budget_pipelined () =
+  let overload = { Rtnet.Server.default_overload with shed_pending_hwm = 4 } in
+  with_server ~overload (fun rt server cache ->
+      let c = connect (Rtnet.Server.port server) in
+      let paths = List.init 8 (Printf.sprintf "/f%d.html") in
+      send c (String.concat "" (List.map get paths));
+      List.iteri
+        (fun i path ->
+          if i < 4 then begin
+            let expected = Hashtbl.find cache path in
+            Alcotest.(check string)
+              (Printf.sprintf "response %d byte-exact" i)
+              expected
+              (read_n c (String.length expected))
+          end)
+        paths;
+      Alcotest.(check string) "then the 503" resp_503
+        (read_n c (String.length resp_503));
+      Alcotest.(check string) "then closed" "" (read_until_eof c);
+      Unix.close c;
+      Rtnet.Server.stop server;
+      let s = Rtnet.Server.stats server in
+      Alcotest.(check int) "parsed" 5 s.reqs_parsed;
+      Alcotest.(check int) "served" 4 s.reqs_served;
+      Alcotest.(check int) "shed" 1 s.reqs_shed;
+      let executed = Rt.Runtime.executed rt in
+      Alcotest.(check bool)
+        (Printf.sprintf "fewer than 5 runtime events (got %d)" executed)
+        true (executed < 5))
 
 (* A header block over max_request_bytes gets a 431 and a close —
    whether or not the terminator ever arrives. *)
@@ -405,4 +456,8 @@ let suite =
       test_admin_emfile_backoff;
     Alcotest.test_case "chaos: conservation under a hostile fault schedule" `Slow
       test_mini_chaos_conservation;
+    Alcotest.test_case "timer wheel: a not-yet-due entry of the current tick fires on time"
+      `Quick test_wheel_current_tick;
+    Alcotest.test_case "overload: shed budget counts requests in one read event"
+      `Quick test_shed_budget_pipelined;
   ]
