@@ -83,10 +83,21 @@ let bench_cache_model =
              (Hw.Cache.access cache ~core:(i mod 8) ~data:(i mod 16) ~bytes:4096 ~write:false)
          done))
 
-let bench_sha256 =
-  let payload = String.make 8192 'x' in
-  Bechamel.Test.make ~name:"sha256 8KB"
-    (Bechamel.Staged.stage (fun () -> ignore (Crypto.Sha256.digest payload)))
+(* The two kernels of one perfbench crypto_16k request: encrypt the
+   16 KB body, then tag the ciphertext. *)
+let crypto_key = Crypto.Sha256.digest "key"
+let crypto_payload = String.make 16_384 'x'
+
+let bench_chacha20 =
+  let nonce = String.sub (Crypto.Sha256.digest "nonce") 0 12 in
+  Bechamel.Test.make ~name:"chacha20 16KB"
+    (Bechamel.Staged.stage (fun () ->
+         ignore (Crypto.Chacha20.encrypt ~key:crypto_key ~nonce crypto_payload)))
+
+let bench_hmac =
+  Bechamel.Test.make ~name:"hmac-sha256 16KB"
+    (Bechamel.Staged.stage (fun () ->
+         ignore (Crypto.Hmac.sha256_hex ~key:crypto_key crypto_payload)))
 
 let bench_sim_unbalanced =
   Bechamel.Test.make ~name:"simulator: unbalanced 2ms slice (mely-ws)"
@@ -104,7 +115,8 @@ let run_micro () =
       bench_laqueue_extract;
       bench_melyq_splice;
       bench_cache_model;
-      bench_sha256;
+      bench_chacha20;
+      bench_hmac;
       bench_sim_unbalanced;
     ]
   in

@@ -11,7 +11,12 @@ let xor_with key byte =
 
 let sha256 ~key message =
   let key = normalize_key key in
-  let inner = Sha256.digest (xor_with key 0x36 ^ message) in
+  (* Stream key xor ipad, then the message, through one context: no
+     copy of the message. *)
+  let ctx = Sha256.init () in
+  Sha256.update_string ctx (xor_with key 0x36);
+  Sha256.update_string ctx message;
+  let inner = Sha256.finalize ctx in
   Sha256.digest (xor_with key 0x5c ^ inner)
 
 let sha256_hex ~key message = Sha256.hex (sha256 ~key message)

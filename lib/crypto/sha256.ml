@@ -1,5 +1,6 @@
-(* FIPS 180-4 SHA-256. Word arithmetic is done in native ints masked to
-   32 bits (OCaml ints are 63-bit, so this is exact). *)
+(* FIPS 180-4 SHA-256. Word arithmetic is done in native ints, masked
+   to 32 bits once per sum (OCaml ints are 63-bit and wrap, so the low
+   32 bits are exact). *)
 
 let mask = 0xFFFFFFFF
 
@@ -38,16 +39,22 @@ let init () =
     w = Array.make 64 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* Unmasked rotate: bits 0..31 are the rotation, the bits above are
+   garbage. Every consumer is a sum or an xor that is masked once, and
+   the low 32 bits of a sum or xor depend only on the low 32 bits of
+   its operands, so one mask per sum is enough. *)
+let[@inline] rotr x n = (x lsr n) lor (x lsl (32 - n))
 
-let compress ctx =
+(* Compress the 64-byte block at [buf.[pos]] into [ctx.h]. *)
+let compress ctx buf pos =
   let w = ctx.w in
   for i = 0 to 15 do
-    w.(i) <- Int32.to_int (Bytes.get_int32_be ctx.block (i * 4)) land mask
+    w.(i) <- Int32.to_int (Bytes.get_int32_be buf (pos + (i * 4))) land mask
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
+    let x = w.(i - 15) and y = w.(i - 2) in
+    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
+    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
     w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
   done;
   let a = ref ctx.h.(0) and b = ref ctx.h.(1) and c = ref ctx.h.(2) and d = ref ctx.h.(3) in
@@ -55,10 +62,10 @@ let compress ctx =
   for i = 0 to 63 do
     let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
     let ch = !e land !f lxor (lnot !e land !g) in
-    let temp1 = (!h + s1 + ch + k.(i) + w.(i)) land mask in
+    let temp1 = !h + s1 + ch + k.(i) + w.(i) in
     let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
     let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let temp2 = (s0 + maj) land mask in
+    let temp2 = s0 + maj in
     h := !g;
     g := !f;
     f := !e;
@@ -77,42 +84,52 @@ let compress ctx =
   ctx.h.(6) <- (ctx.h.(6) + !g) land mask;
   ctx.h.(7) <- (ctx.h.(7) + !h) land mask
 
+(* Top up a partly filled [ctx.block] first, then compress whole blocks
+   straight from [buf], and buffer what is left. *)
 let update ctx buf ~pos ~len =
   assert (pos >= 0 && len >= 0 && pos + len <= Bytes.length buf);
   ctx.total <- ctx.total + len;
-  let rec consume pos len =
-    if len > 0 then begin
-      let room = 64 - ctx.fill in
-      let take = min room len in
-      Bytes.blit buf pos ctx.block ctx.fill take;
-      ctx.fill <- ctx.fill + take;
-      if ctx.fill = 64 then begin
-        compress ctx;
-        ctx.fill <- 0
-      end;
-      consume (pos + take) (len - take)
+  let pos = ref pos and len = ref len in
+  if ctx.fill > 0 then begin
+    let take = min (64 - ctx.fill) !len in
+    Bytes.blit buf !pos ctx.block ctx.fill take;
+    ctx.fill <- ctx.fill + take;
+    pos := !pos + take;
+    len := !len - take;
+    if ctx.fill = 64 then begin
+      compress ctx ctx.block 0;
+      ctx.fill <- 0
     end
-  in
-  consume pos len
+  end;
+  while !len >= 64 do
+    compress ctx buf !pos;
+    pos := !pos + 64;
+    len := !len - 64
+  done;
+  if !len > 0 then begin
+    Bytes.blit buf !pos ctx.block 0 !len;
+    ctx.fill <- !len
+  end
 
 let update_string ctx s =
   update ctx (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 let finalize ctx =
-  let bit_length = ctx.total * 8 in
-  (* Padding: 0x80, zeros, 64-bit big-endian length. *)
-  let pad = Bytes.make 1 '\x80' in
-  update ctx pad ~pos:0 ~len:1;
-  let zero = Bytes.make 1 '\x00' in
-  while ctx.fill <> 56 do
-    update ctx zero ~pos:0 ~len:1;
-    (* update counted the padding in [total]; correct below by using the
-       saved bit_length. *)
-  done;
-  let len_bytes = Bytes.create 8 in
-  Bytes.set_int64_be len_bytes 0 (Int64.of_int bit_length);
-  update ctx len_bytes ~pos:0 ~len:8;
-  assert (ctx.fill = 0);
+  (* Padding: 0x80, zeros, 64-bit big-endian bit length. *)
+  let block = ctx.block and fill = ctx.fill in
+  Bytes.set block fill '\x80';
+  let zeros_from =
+    if fill < 56 then fill + 1
+    else begin
+      (* No room for the length: pad out this block, length in the next. *)
+      Bytes.fill block (fill + 1) (63 - fill) '\x00';
+      compress ctx block 0;
+      0
+    end
+  in
+  Bytes.fill block zeros_from (56 - zeros_from) '\x00';
+  Bytes.set_int64_be block 56 (Int64.of_int (ctx.total * 8));
+  compress ctx block 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
     Bytes.set_int32_be out (i * 4) (Int32.of_int ctx.h.(i))
@@ -124,9 +141,16 @@ let digest s =
   update_string ctx s;
   finalize ctx
 
+let hex_digits = "0123456789abcdef"
+
 let hex raw =
-  let buf = Buffer.create (String.length raw * 2) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) raw;
-  Buffer.contents buf
+  let n = String.length raw in
+  let out = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let b = Char.code (String.unsafe_get raw i) in
+    Bytes.unsafe_set out (2 * i) hex_digits.[b lsr 4];
+    Bytes.unsafe_set out ((2 * i) + 1) hex_digits.[b land 0xF]
+  done;
+  Bytes.unsafe_to_string out
 
 let digest_hex s = hex (digest s)

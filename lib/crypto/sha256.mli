@@ -8,6 +8,10 @@ type ctx
 
 val init : unit -> ctx
 val update : ctx -> bytes -> pos:int -> len:int -> unit
+(** Feed [len] bytes of the buffer from [pos]. Whole 64-byte blocks
+    are compressed straight from the caller's buffer; only a partial
+    block is copied into the context. *)
+
 val update_string : ctx -> string -> unit
 
 val finalize : ctx -> string
