@@ -13,23 +13,26 @@
      events colored with the connection's fd — the runtime's per-color
      mutual exclusion is the lock.
    - The two sides communicate through atomics ([inflight],
-     [want_write], [flush_pending], [wants_close], [failed]) plus a
-     per-shard attention stack. Only the shard raises [inflight], once
-     per event it injects; every event ends by dropping it, pushing the
-     fd and waking the owning shard, which re-examines just that
-     connection — no O(conns) sweep per lap.
+     [want_write], [flush_pending], [wants_close], [failed],
+     [shard_waits]) plus a per-shard attention stack. Only the shard
+     raises [inflight], once per event it injects; every event ends by
+     dropping it. The protocol is one-way: an event pushes the fd and
+     wakes the owning shard only when the shard may now close the
+     connection (close wanted, server draining, or the shard saw EOF or
+     an error and waits for the event to end). A keep-alive request
+     whose response went out whole crosses no domain on its way back.
    - One read event parses every request its bytes complete and
      answers each inline, in wire order: the fd color serializes a
      connection's events anyway, so a per-request event would buy no
      parallelism. Rejects (400/431/503), the app-failure 500 and the
      408 eviction share one answer-and-close path.
 
-   Connection readiness is edge-triggered: reads drain to EAGAIN (or
-   re-arm with a MOD when the budget runs out), and write interest is
-   one-shot: armed when a handler leaves output stalled, disarmed when
-   the writable event is consumed. Injection is batched: one
-   [Rt.Runtime.try_register_batch] per wait return, with the shard id
-   as the placement hint.
+   Connection readiness is edge-triggered and registered once, read
+   and write, at install: reads drain to EAGAIN (or re-arm with a MOD
+   when the budget runs out), and an event that leaves output stalled
+   re-arms the write edge itself with one MOD. Injection is batched:
+   one [Rt.Runtime.try_register_batch] per wait return, with the shard
+   id as the placement hint.
 
    Overload armor (DESIGN.md §5f): every network syscall goes through
    the [Rt.Faults] shim; per-shard timer wheels enforce per-connection
@@ -115,6 +118,9 @@ type conn = {
   flush_pending : bool Atomic.t;
   wants_close : bool Atomic.t;
   failed : bool Atomic.t;
+  shard_waits : bool Atomic.t;
+      (** the shard saw EOF or an error and waits for the running events
+          to end before it closes: set by the shard, read by handlers *)
   (* Armor state shared across the boundary: the shard's deadline
      checks read these, handlers refresh them. *)
   last_progress : int64 Atomic.t;
@@ -126,8 +132,6 @@ type conn = {
   mutable evicting : bool;  (** a deadline fired; stop reading/checking *)
   mutable eof : bool;
   mutable kill : bool;  (** I/O error or refused injection: drop it *)
-  mutable armed_read : bool;  (** current read interest in the epoll set *)
-  mutable armed_write : bool;  (** current write interest (one-shot) *)
 }
 
 and shard = {
@@ -137,7 +141,7 @@ and shard = {
   wheel : Wheel.t;  (** shard-owned deadline wheel, keyed by fd int *)
   wake : Unix.file_descr;  (** eventfd; readable while a wake is pending *)
   attn : int list Atomic.t;
-      (** fds whose state a handler changed; drained each lap *)
+      (** fds an ending event says may now be closed; drained each lap *)
   handoff : Unix.file_descr list Atomic.t;
       (** accepted fds parked here by the acceptor shard *)
   pool : Bufpool.t;
@@ -281,18 +285,41 @@ let wake_shard sh = Epoll.signal sh.wake
 
 let wake_all t = Array.iter wake_shard t.shards
 
+(* Re-arm a connection's edges with a MOD: the kernel re-reports every
+   condition that holds now. Write interest is always kept; read
+   interest goes back unless the shard no longer reads the connection.
+   Shard and handlers both call it; the kernel serializes concurrent
+   epoll_ctl calls on one fd. *)
+let rearm sh conn ~read =
+  try Epoll.modify sh.ep conn.fd ~read ~write:true ~edge:true
+  with Unix.Unix_error _ -> ()
+
 let rec attn_push sh fd =
   let old = Atomic.get sh.attn in
   if not (Atomic.compare_and_set sh.attn old (fd :: old)) then attn_push sh fd
 
-(* A connection event ended, maybe having changed [conn]'s shared state:
-   queue the fd for the owning shard's next lap and cut its nap short.
-   Called once per event, from its finally; the shard re-examines one
-   connection, not the whole table. *)
-let attend conn =
-  let sh = conn.shard in
-  attn_push sh conn.color;
-  wake_shard sh
+(* Every connection event ends here, from its finally, after its last
+   change to [flush_pending]. Output left stalled re-arms its own write
+   edge: MOD re-reports a writable level, so an edge the shard passed
+   over while this event ran is not lost, and extra read interest is
+   dropped again on the next report. The MOD comes before [inflight]
+   drops, so the fd is still open. Then the shard hears of the event
+   only if it may now close the connection: close wanted, draining, or
+   [shard_waits]. The decrement comes before the [shard_waits] read
+   and the shard sets [shard_waits] before it reads [inflight], so with
+   SC atomics at least one side sees the other. A stale attention for
+   a recycled fd is harmless: the shard re-checks whatever connection
+   now holds that number. *)
+let end_event t conn =
+  if Atomic.get conn.want_write then rearm conn.shard conn ~read:true;
+  Atomic.decr conn.inflight;
+  if
+    Atomic.get conn.wants_close || Atomic.get t.draining
+    || Atomic.get conn.shard_waits
+  then begin
+    attn_push conn.shard conn.color;
+    wake_shard conn.shard
+  end
 
 let rec handoff_push sh fd =
   let old = Atomic.get sh.handoff in
@@ -340,8 +367,8 @@ let finish_conn conn =
 
 (* Flush as much of [conn.outq] as the socket takes, gathering up to
    [writev_slices] slices per writev; a short write bumps the front
-   slice's offset (no re-copy) and raises write interest for the
-   shard. *)
+   slice's offset (no re-copy) and sets [want_write], which makes
+   [end_event] re-arm the write edge. *)
 let try_write t conn =
   let rec go () =
     if Queue.is_empty conn.outq then Atomic.set conn.want_write false
@@ -566,14 +593,9 @@ let rec parse_loop t conn ~answered (ctx : Rt.Runtime.ctx) =
 (* The read event: the shard checked [buf] out of its pool and read
    [len] wire bytes into it; copy them into the parse state and recycle
    the buffer — the one unavoidable copy, paid on a worker instead of
-   the poller. Like every connection event, it ends by dropping the
-   [inflight] count the shard raised when it injected the event and
-   queueing the fd for the shard's next lap. *)
+   the poller. Like every connection event, it ends in [end_event]. *)
 let on_chunk t conn buf len ctx =
-  Fun.protect ~finally:(fun () ->
-      Atomic.decr conn.inflight;
-      attend conn)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> end_event t conn) @@ fun () ->
   let chunk = Bytes.sub_string buf 0 len in
   Bufpool.recycle conn.shard.pool buf;
   if not conn.stop_parsing then begin
@@ -583,20 +605,16 @@ let on_chunk t conn buf len ctx =
 
 let on_writable t conn (_ctx : Rt.Runtime.ctx) =
   Fun.protect ~finally:(fun () ->
-      (* Order matters: clear [flush_pending] last so the shard never
-         sees a writable fd it cannot re-arm a flush for. *)
-      Atomic.decr conn.inflight;
+      (* Clear [flush_pending] before [end_event]'s re-arm: a writable
+         report the re-arm causes must find no flush in flight. *)
       Atomic.set conn.flush_pending false;
-      attend conn)
+      end_event t conn)
   @@ fun () -> if not (Atomic.get conn.failed) then try_write t conn
 
 (* Slow-loris eviction: answer 408, close. Runs as a colored event so
    the output queue is touched under the color's mutual exclusion. *)
 let on_evict t conn (ctx : Rt.Runtime.ctx) =
-  Fun.protect ~finally:(fun () ->
-      Atomic.decr conn.inflight;
-      attend conn)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> end_event t conn) @@ fun () ->
   Rt.Runtime.note_evict t.rt ~worker:ctx.worker ~color:conn.color;
   answer_and_close t conn t.resp_408
 
@@ -628,7 +646,11 @@ let close_conn t sh conn =
   if Atomic.get t.listener_paused && live < t.max_clients then
     wake_shard t.shards.(0)
 
+(* The shard's half of the [end_event] handshake: on an EOF or killed
+   connection, [shard_waits] goes up before [should_close] reads
+   [inflight], so an event still running is sure to report its end. *)
 let maybe_close t sh conn =
+  if conn.eof || conn.kill then Atomic.set conn.shard_waits true;
   (* An idle admin connection survives the start of a drain — the drain
      sweep reaps it after its grace window — so a scraper holding a
      keep-alive connection can still observe the drain itself. *)
@@ -678,36 +700,6 @@ let want_read ~draining conn =
   && (not conn.eof) && (not conn.kill) && (not conn.evicting)
   && not (Atomic.get conn.wants_close)
 
-let set_interest sh conn ~read ~write =
-  if read <> conn.armed_read || write <> conn.armed_write then begin
-    (try Epoll.modify sh.ep conn.fd ~read ~write ~edge:true
-     with Unix.Unix_error _ -> ());
-    conn.armed_read <- read;
-    conn.armed_write <- write
-  end
-
-(* Attention: a handler finished touching [conn]. Recompute interest —
-   and when output is stalled with no flush in flight, force a re-MOD
-   even if the mask is unchanged: MOD re-arms the edge, and a writable
-   edge consumed while a flush was already running would otherwise be
-   lost. *)
-let attend_conn t sh conn =
-  let draining = Atomic.get t.draining in
-  let rd = want_read ~draining conn in
-  let wr =
-    (not conn.kill)
-    && Atomic.get conn.want_write
-    && not (Atomic.get conn.flush_pending)
-  in
-  if wr then begin
-    (try Epoll.modify sh.ep conn.fd ~read:rd ~write:true ~edge:true
-     with Unix.Unix_error _ -> ());
-    conn.armed_read <- rd;
-    conn.armed_write <- true
-  end
-  else set_interest sh conn ~read:rd ~write:false;
-  maybe_close t sh conn
-
 (* Edge-triggered read discipline: drain until EAGAIN or EOF. The
    budget bounds one connection's share of a lap; on exhaustion a MOD
    re-arms the edge so leftover bytes re-report next lap. Each chunk
@@ -716,11 +708,7 @@ let read_budget = 32
 
 let read_conn t sh conn =
   let rec go budget =
-    if budget = 0 then
-      (try
-         Epoll.modify sh.ep conn.fd ~read:true ~write:conn.armed_write
-           ~edge:true
-       with Unix.Unix_error _ -> ())
+    if budget = 0 then rearm sh conn ~read:true
     else begin
       let buf = Bufpool.checkout sh.pool in
       match sys_read t conn.fd buf 0 (Bytes.length buf) with
@@ -737,11 +725,7 @@ let read_conn t sh conn =
            buffered — and the consumed edge would never re-fire. Re-arm
            so the kernel re-reports a level that still holds; skipped on
            passthrough, where EAGAIN is truthful. *)
-        if Rt.Faults.is_active t.faults then
-          (try
-             Epoll.modify sh.ep conn.fd ~read:true ~write:conn.armed_write
-               ~edge:true
-           with Unix.Unix_error _ -> ())
+        if Rt.Faults.is_active t.faults then rearm sh conn ~read:true
       | exception Unix.Unix_error (EINTR, _, _) ->
         Bufpool.recycle sh.pool buf;
         go (budget - 1)
@@ -775,7 +759,8 @@ let accept_backoff sh ~now =
   Atomic.incr sh.ctr.a_backoffs
 
 (* Install an accepted fd on ITS OWNING shard: conn record, ownership
-   audit, epoll registration (edge-triggered read), header deadline.
+   audit, epoll registration (edge-triggered read and write, once for
+   the connection's life), header deadline.
    Accepted/closed counters live on this shard, so the conservation
    identity [conns_accepted = conns_closed] holds per shard. *)
 let install_conn t sh ~admin fd =
@@ -807,6 +792,7 @@ let install_conn t sh ~admin fd =
         flush_pending = Atomic.make false;
         wants_close = Atomic.make false;
         failed = Atomic.make false;
+        shard_waits = Atomic.make false;
         last_progress = Atomic.make now;
         partial = Atomic.make false;
         completed = Atomic.make false;
@@ -814,14 +800,12 @@ let install_conn t sh ~admin fd =
         evicting = false;
         eof = false;
         kill = false;
-        armed_read = true;
-        armed_write = false;
       }
     in
     own_add t conn.color sh.id;
     Hashtbl.replace sh.conns conn.color conn;
     Atomic.incr sh.ctr.c_accepted;
-    (try Epoll.add sh.ep fd ~read:true ~write:false ~edge:true
+    (try Epoll.add sh.ep fd ~read:true ~write:true ~edge:true
      with Unix.Unix_error _ -> conn.kill <- true);
     (* Arm the armor: the first deadline is the header-read one. *)
     Wheel.schedule sh.wheel conn.color
@@ -939,6 +923,20 @@ let arm_listener sh fd listening want =
   else if (not want) && !listening then Epoll.remove sh.ep fd;
   listening := want
 
+(* How long a lap may wait. A shard with nothing timed sleeps until a
+   wake: every other reason to run arrives as one (a hand-off, an
+   attention, a close under a paused listener, [stop]). An accept
+   backoff ends on the clock, deadlines and the drain sweep run at the
+   wheel's 50 ms granularity. *)
+let lap_ms = 50
+
+let wait_timeout_ms sh ~draining =
+  let backoff_left = Int64.sub sh.backoff_until (Rt.Clock.now_ns ()) in
+  if Int64.compare backoff_left 0L > 0 then
+    min lap_ms (1 + Int64.to_int (Int64.div backoff_left 1_000_000L))
+  else if draining || Wheel.pending sh.wheel > 0 then lap_ms
+  else -1
+
 let shard_loop t sh =
   let is_acceptor = sh.id = 0 in
   Epoll.add sh.ep sh.wake ~read:true ~write:false ~edge:false;
@@ -964,7 +962,7 @@ let shard_loop t sh =
       Option.iter (fun afd -> arm_listener sh afd admin_listening calm) t.admin_fd;
       Atomic.set t.listener_paused (not want)
     end;
-    (match sys_wait t sh ~timeout_ms:50 with
+    (match sys_wait t sh ~timeout_ms:(wait_timeout_ms sh ~draining) with
     | exception Unix.Unix_error (_, _, _) ->
       (* EINTR (real or injected) — or a stray errno under chaos; the
          interest set is kernel-side, the next lap just waits again. *)
@@ -988,26 +986,21 @@ let shard_loop t sh =
             let wr = Epoll.ready_writable sh.ep i in
             if rd then begin
               if want_read ~draining conn then read_conn t sh conn
-              else if conn.armed_read then
+              else if Epoll.ready_readable sh.ep i then
                 (* Not reading this connection any more: drop read
                    interest so further bytes from the peer stop waking
-                   the shard. *)
-                set_interest sh conn ~read:false ~write:conn.armed_write
+                   the shard. The MOD is idempotent; a hangup report
+                   after it carries no readable bit, so it is not
+                   repeated. *)
+                rearm sh conn ~read:false
             end;
-            if wr then begin
-              (* Write interest is one-shot: consume it; the flush
-                 handler's completion attention re-arms if the output
-                 is still stalled. *)
-              if conn.armed_write then
-                set_interest sh conn ~read:conn.armed_read ~write:false;
-              if
-                (not conn.kill)
-                && Atomic.get conn.want_write
-                && not (Atomic.get conn.flush_pending)
-              then begin
-                Atomic.set conn.flush_pending true;
-                batch_add sh conn t.h_flush (on_writable t conn)
-              end
+            if
+              wr && (not conn.kill)
+              && Atomic.get conn.want_write
+              && not (Atomic.get conn.flush_pending)
+            then begin
+              Atomic.set conn.flush_pending true;
+              batch_add sh conn t.h_flush (on_writable t conn)
             end;
             if conn.eof || conn.kill then maybe_close t sh conn
       done);
@@ -1031,9 +1024,8 @@ let shard_loop t sh =
           check_deadlines t sh conn ~now
         | _ -> ());
     flush_batch t sh;
-    (* Attention: connections whose handlers signalled a state change —
-       re-arm interest, reap if terminal. Replaces the old O(conns)
-       per-lap sweep. *)
+    (* Attention: connections whose last event said they may now be
+       closed. *)
     (match Atomic.get sh.attn with
     | [] -> ()
     | _ ->
@@ -1041,7 +1033,7 @@ let shard_loop t sh =
       List.iter
         (fun key ->
           match Hashtbl.find_opt sh.conns key with
-          | Some conn -> attend_conn t sh conn
+          | Some conn -> maybe_close t sh conn
           | None -> ())
         fds);
     if draining then begin
@@ -1078,7 +1070,6 @@ let shard_loop t sh =
       then finished := true
     end
   done;
-  Epoll.close sh.ep;
   if is_acceptor then begin
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     match t.admin_fd with
@@ -1249,6 +1240,10 @@ let start t =
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+let close_shard_fds sh =
+  Epoll.close sh.ep;
+  close_quietly sh.wake
+
 let stop t =
   Mutex.lock t.lifecycle;
   (match t.state with
@@ -1257,24 +1252,20 @@ let stop t =
     t.state <- Stopped;
     close_quietly t.listen_fd;
     (match t.admin_fd with Some afd -> close_quietly afd | None -> ());
-    Array.iter
-      (fun sh ->
-        Epoll.close sh.ep;
-        close_quietly sh.wake)
-      t.shards
+    Array.iter close_shard_fds t.shards
   | Started ->
     t.state <- Stopped;
     Atomic.set t.draining true;
     wake_all t;
     List.iter Domain.join t.pollers;
     t.pollers <- [];
-    (* The shards closed every connection, their epoll instances and
-       the listeners. Any handler still unwinding its finally may signal
-       a wake eventfd, so wait for the runtime to go quiescent before
-       closing them (quiesce returns immediately on a stopped or
-       aborted runtime). *)
+    (* The shards closed every connection and the listeners. Any
+       handler still unwinding its finally may re-arm a write on its
+       shard's epoll set or signal its wake eventfd, so wait for the
+       runtime to go quiescent before closing them (quiesce returns
+       immediately on a stopped or aborted runtime). *)
     Rt.Runtime.quiesce t.rt;
-    Array.iter (fun sh -> close_quietly sh.wake) t.shards);
+    Array.iter close_shard_fds t.shards);
   Mutex.unlock t.lifecycle
 
 let stats t =

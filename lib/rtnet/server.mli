@@ -18,14 +18,17 @@
     Ownership boundary (see DESIGN.md §5e/§5g): every mutable field of
     a connection record is touched only inside events of that
     connection's color (parse state, output slice queue), or only by
-    the owning shard (fd lifetime, readiness interest); the two sides
-    talk through a few atomics ([inflight], [want_write],
-    [wants_close]) plus a per-shard attention stack. Only the shard
-    raises [inflight], once per event it injects; every event ends by
-    dropping it and queueing the fd for the shard's next lap. The shard
-    closes an fd only once no event of that connection is queued or
-    executing, so a handler can never write into a recycled
-    descriptor.
+    the owning shard (fd lifetime); the two sides talk through a few
+    atomics ([inflight], [want_write], [wants_close], [shard_waits])
+    plus a per-shard attention stack. A connection's edges (read and
+    write) are registered once at accept; an event that leaves output
+    stalled re-arms the write edge itself. Only the shard raises
+    [inflight], once per event it injects; every event ends by dropping
+    it, and wakes the shard only when the shard may now close the
+    connection (close wanted, draining, or EOF/error seen while the
+    event ran). The shard closes an fd only once no event of that
+    connection is queued or executing, so a handler can never write
+    into a recycled descriptor.
 
     Per-connection state machine: accumulate bytes →
     {!Httpkit.Request.parse} (with the resume hint, so torn requests

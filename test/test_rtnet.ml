@@ -69,14 +69,14 @@ let read_until_eof fd =
 
 let get path = Printf.sprintf "GET %s HTTP/1.1\r\nHost: t\r\n\r\n" path
 
-let with_server ?(workers = 2) ?trace ?shards ?max_clients ?app ?admin_port
-    body =
+let with_server ?(workers = 2) ?trace ?shards ?max_clients ?overload ?app
+    ?admin_port body =
   let rt = Rt.Runtime.create ~workers ?trace () in
   let cache = cache () in
   Rt.Runtime.start rt;
   let server =
-    Rtnet.Server.create ~rt ?shards ?max_clients ?app ?admin_port ~cache ~port:0
-      ()
+    Rtnet.Server.create ~rt ?shards ?max_clients ?overload ?app ?admin_port
+      ~cache ~port:0 ()
   in
   Rtnet.Server.start server;
   Fun.protect
@@ -664,6 +664,125 @@ let test_admin_healthz_drain_flip () =
           Domain.join stopper);
       Rt.Runtime.stop rt)
 
+(* Poll [cond] every 10 ms for up to [secs]; true once it holds. *)
+let await ?(secs = 2.0) cond =
+  let t0 = Unix.gettimeofday () in
+  let rec go () =
+    if cond () then true
+    else if Unix.gettimeofday () -. t0 > secs then false
+    else begin
+      Unix.sleepf 0.01;
+      go ()
+    end
+  in
+  go ()
+
+let busy_wait secs =
+  let t0 = Unix.gettimeofday () in
+  while Unix.gettimeofday () -. t0 < secs do
+    Domain.cpu_relax ()
+  done
+
+(* The peer half-closes while its request's event is still running. The
+   shard sees EOF with the event in flight, so it cannot close yet; the
+   event's end must tell it so, or the fd waits out the idle deadline
+   (30 s) with the response already sent. *)
+let test_half_close_during_slow_event () =
+  let cache_for_app = cache () in
+  let app (req : Httpkit.Request.t) =
+    busy_wait 0.1;
+    Hashtbl.find cache_for_app req.Httpkit.Request.target
+  in
+  with_server ~workers:2 ~app (fun _rt server cache ->
+      let expected = Hashtbl.find cache "/f1.html" in
+      let c = connect ~timeout:5.0 (Rtnet.Server.port server) in
+      send c (get "/f1.html");
+      Unix.sleepf 0.02;
+      Unix.shutdown c Unix.SHUTDOWN_SEND;
+      let t0 = Unix.gettimeofday () in
+      Alcotest.(check string) "the 200 arrives" expected
+        (read_n c (String.length expected));
+      Alcotest.(check string) "then EOF" "" (read_until_eof c);
+      let waited = Unix.gettimeofday () -. t0 in
+      Unix.close c;
+      Alcotest.(check bool)
+        (Printf.sprintf "EOF within 2 s (took %.2f s)" waited)
+        true (waited < 2.0);
+      Alcotest.(check bool) "closed = accepted before stop" true
+        (await (fun () ->
+             let s = Rtnet.Server.stats server in
+             s.conns_accepted = 1 && s.conns_closed = 1)))
+
+(* A client socket with a small receive buffer, so a large response
+   really stalls the server's writes instead of fitting in the kernel's
+   buffers. *)
+let connect_small_rcvbuf port =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_int fd Unix.SO_RCVBUF 16_384;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  fd
+
+let big_response =
+  Httpkit.Response.build ~content_type:"application/octet-stream"
+    ~body:(String.init (4 * 1024 * 1024) (fun i -> Char.chr (97 + (i * 7 mod 26))))
+    ()
+
+let big_app cache_for_app (req : Httpkit.Request.t) =
+  if req.Httpkit.Request.target = "/big" then big_response
+  else Hashtbl.find cache_for_app req.Httpkit.Request.target
+
+(* A reader that pauses: 300 ms of reading nothing with a 4 MB response
+   pending, then it drains. The stalled write must resume on the
+   writable edge, byte-exact, and the connection keeps serving. *)
+let test_slow_reader_drains () =
+  with_server ~workers:2 ~app:(big_app (cache ())) (fun _rt server cache ->
+      let small = Hashtbl.find cache "/f3.html" in
+      let c = connect_small_rcvbuf (Rtnet.Server.port server) in
+      send c (get "/big");
+      Unix.sleepf 0.3;
+      let got = read_n c (String.length big_response) in
+      Alcotest.(check int) "whole response" (String.length big_response)
+        (String.length got);
+      Alcotest.(check bool) "byte-exact" true (String.equal big_response got);
+      send c (get "/f3.html");
+      Alcotest.(check string) "keeps serving" small
+        (read_n c (String.length small));
+      Unix.close c;
+      Rtnet.Server.stop server;
+      let s = Rtnet.Server.stats server in
+      Alcotest.(check int) "served" 2 s.reqs_served;
+      Alcotest.(check int) "accepted = closed" s.conns_accepted s.conns_closed;
+      Alcotest.(check int) "none failed" 0 s.conns_failed;
+      Alcotest.(check int) "none evicted" 0 s.conns_evicted)
+
+(* A reader that never reads: once its output has made no progress for
+   [write_deadline] the connection is evicted and closed. The wheel
+   first visits a connection at its header deadline, so that is short
+   too. *)
+let test_stalled_reader_evicted () =
+  let overload =
+    {
+      Rtnet.Server.default_overload with
+      Rtnet.Server.header_deadline = 0.5;
+      write_deadline = 0.3;
+    }
+  in
+  with_server ~workers:2 ~overload ~app:(big_app (cache ()))
+    (fun _rt server _cache ->
+      let c = connect_small_rcvbuf (Rtnet.Server.port server) in
+      send c (get "/big");
+      Alcotest.(check bool) "evicted and closed within 3 s" true
+        (await ~secs:3.0 (fun () ->
+             let s = Rtnet.Server.stats server in
+             s.conns_evicted = 1 && s.conns_closed = 1));
+      Unix.close c;
+      Rtnet.Server.stop server;
+      let s = Rtnet.Server.stats server in
+      Alcotest.(check int) "accepted = closed" s.conns_accepted s.conns_closed;
+      Alcotest.(check int) "dropped as failed" 1 s.conns_failed;
+      Alcotest.(check int) "parsed = served" s.reqs_parsed s.reqs_served)
+
 let suite =
   [
     Alcotest.test_case "e2e: 5k pipelined torn requests, 4 workers" `Slow
@@ -692,4 +811,10 @@ let suite =
       `Quick test_eventfd_wake_coalesces;
     Alcotest.test_case "containment: a 500 ends a pipelined connection"
       `Quick test_pipelined_500_closes;
+    Alcotest.test_case "close: a half-close during a slow event closes promptly"
+      `Quick test_half_close_during_slow_event;
+    Alcotest.test_case "write stall: a pausing reader gets 4 MB byte-exact"
+      `Quick test_slow_reader_drains;
+    Alcotest.test_case "write stall: a reader that never reads is evicted"
+      `Quick test_stalled_reader_evicted;
   ]
