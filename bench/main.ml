@@ -9,8 +9,9 @@
       durations.
 
    2. Bechamel microbenchmarks of the simulator's primitives and of
-      SHA-256, run with `bench/main.exe micro`; perfbench/ measures the
-      real runtime, the front end and ChaCha20. *)
+      the crypto_16k handler (ChaCha20, HMAC-SHA256, and the whole
+      sealed response), run with `bench/main.exe micro`; perfbench/
+      measures the real runtime, the front end and ChaCha20. *)
 
 let run_experiment ~quick id =
   match Harness.Experiments.find id with
@@ -86,18 +87,28 @@ let bench_cache_model =
 (* The two kernels of one perfbench crypto_16k request: encrypt the
    16 KB body, then tag the ciphertext. *)
 let crypto_key = Crypto.Sha256.digest "key"
+let crypto_nonce = String.sub (Crypto.Sha256.digest "nonce") 0 12
 let crypto_payload = String.make 16_384 'x'
 
 let bench_chacha20 =
-  let nonce = String.sub (Crypto.Sha256.digest "nonce") 0 12 in
   Bechamel.Test.make ~name:"chacha20 16KB"
     (Bechamel.Staged.stage (fun () ->
-         ignore (Crypto.Chacha20.encrypt ~key:crypto_key ~nonce crypto_payload)))
+         ignore (Crypto.Chacha20.encrypt ~key:crypto_key ~nonce:crypto_nonce crypto_payload)))
 
 let bench_hmac =
   Bechamel.Test.make ~name:"hmac-sha256 16KB"
     (Bechamel.Staged.stage (fun () ->
          ignore (Crypto.Hmac.sha256_hex ~key:crypto_key crypto_payload)))
+
+(* The whole crypto_16k handler: encrypt, tag, then build the response. *)
+let bench_seal =
+  Bechamel.Test.make ~name:"seal 16KB response"
+    (Bechamel.Staged.stage (fun () ->
+         let body = Crypto.Chacha20.encrypt ~key:crypto_key ~nonce:crypto_nonce crypto_payload in
+         ignore
+           (Httpkit.Response.build ~content_type:"application/octet-stream"
+              ~extra_headers:[ ("X-Tag", Crypto.Hmac.sha256_hex ~key:crypto_key body) ]
+              ~body ())))
 
 let bench_sim_unbalanced =
   Bechamel.Test.make ~name:"simulator: unbalanced 2ms slice (mely-ws)"
@@ -117,6 +128,7 @@ let run_micro () =
       bench_cache_model;
       bench_chacha20;
       bench_hmac;
+      bench_seal;
       bench_sim_unbalanced;
     ]
   in

@@ -39,50 +39,88 @@ let init () =
     w = Array.make 64 0;
   }
 
-(* Unmasked rotate: bits 0..31 are the rotation, the bits above are
-   garbage. Every consumer is a sum or an xor that is masked once, and
-   the low 32 bits of a sum or xor depend only on the low 32 bits of
-   its operands, so one mask per sum is enough. *)
-let[@inline] rotr x n = (x lsr n) lor (x lsl (32 - n))
+(* Rotations work on the word copied into its own high half: for a
+   32-bit [x], [x lor (x lsl 32)] holds bits 0..31 of [x] twice over
+   (bit 31 drops off the 63-bit int), so bits 0..31 of [lsr n] are the
+   rotation right by [n] for every n <= 31. The bits above are garbage.
+   Every consumer is a sum or an xor that is masked once, and the low 32
+   bits of a sum or xor depend only on the low 32 bits of its operands,
+   so one mask per sum is enough. Inputs must be masked words. *)
+let[@inline] big_sigma0 a =
+  let x = a lor (a lsl 32) in
+  (x lsr 2) lxor (x lsr 13) lxor (x lsr 22)
 
-(* Compress the 64-byte block at [buf.[pos]] into [ctx.h]. *)
+let[@inline] big_sigma1 e =
+  let x = e lor (e lsl 32) in
+  (x lsr 6) lxor (x lsr 11) lxor (x lsr 25)
+
+(* One round's two sums: [t1] is added into [d] (the next [e]), and
+   [t1 + t2] becomes the next [a]. The indices are proven in range by
+   [compress]'s loop bounds, so [k] and [w] are read unchecked. *)
+let[@inline] t1 e f g h w i =
+  h + big_sigma1 e + (g lxor (e land (f lxor g))) + Array.unsafe_get k i + Array.unsafe_get w i
+
+let[@inline] t2 a b c = big_sigma0 a + ((a land b) lor (c land (a lor b)))
+
+(* Compress the 64-byte block at [buf.[pos]] into [ctx.h]. The rounds
+   run in blocks of eight in which the working variables swap roles
+   instead of shifting down one place per round: round r writes its new
+   [e] into the variable that held [d] and its new [a] into the one
+   that held [h], and after eight rounds every role is back where it
+   started. *)
 let compress ctx buf pos =
   let w = ctx.w in
   for i = 0 to 15 do
     w.(i) <- Int32.to_int (Bytes.get_int32_be buf (pos + (i * 4))) land mask
   done;
+  (* i - 16 >= 0 and i <= 63 < Array.length w: unchecked reads. *)
   for i = 16 to 63 do
-    let x = w.(i - 15) and y = w.(i - 2) in
-    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
-    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
+    let xx = x lor (x lsl 32) and yy = y lor (y lsl 32) in
+    let s0 = (xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3) in
+    let s1 = (yy lsr 17) lxor (yy lsr 19) lxor (y lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
   done;
-  let a = ref ctx.h.(0) and b = ref ctx.h.(1) and c = ref ctx.h.(2) and d = ref ctx.h.(3) in
-  let e = ref ctx.h.(4) and f = ref ctx.h.(5) and g = ref ctx.h.(6) and h = ref ctx.h.(7) in
-  for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) in
-    let temp1 = !h + s1 + ch + k.(i) + w.(i) in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let temp2 = s0 + maj in
-    h := !g;
-    g := !f;
-    f := !e;
-    e := (!d + temp1) land mask;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (temp1 + temp2) land mask
+  let st = ctx.h in
+  let a = ref st.(0) and b = ref st.(1) and c = ref st.(2) and d = ref st.(3) in
+  let e = ref st.(4) and f = ref st.(5) and g = ref st.(6) and h = ref st.(7) in
+  (* i = 8 * j + r with j <= 7 and r <= 7, so 0 <= i <= 63. *)
+  for j = 0 to 7 do
+    let i = j * 8 in
+    let t = t1 !e !f !g !h w i in
+    d := (!d + t) land mask;
+    h := (t + t2 !a !b !c) land mask;
+    let t = t1 !d !e !f !g w (i + 1) in
+    c := (!c + t) land mask;
+    g := (t + t2 !h !a !b) land mask;
+    let t = t1 !c !d !e !f w (i + 2) in
+    b := (!b + t) land mask;
+    f := (t + t2 !g !h !a) land mask;
+    let t = t1 !b !c !d !e w (i + 3) in
+    a := (!a + t) land mask;
+    e := (t + t2 !f !g !h) land mask;
+    let t = t1 !a !b !c !d w (i + 4) in
+    h := (!h + t) land mask;
+    d := (t + t2 !e !f !g) land mask;
+    let t = t1 !h !a !b !c w (i + 5) in
+    g := (!g + t) land mask;
+    c := (t + t2 !d !e !f) land mask;
+    let t = t1 !g !h !a !b w (i + 6) in
+    f := (!f + t) land mask;
+    b := (t + t2 !c !d !e) land mask;
+    let t = t1 !f !g !h !a w (i + 7) in
+    e := (!e + t) land mask;
+    a := (t + t2 !b !c !d) land mask
   done;
-  ctx.h.(0) <- (ctx.h.(0) + !a) land mask;
-  ctx.h.(1) <- (ctx.h.(1) + !b) land mask;
-  ctx.h.(2) <- (ctx.h.(2) + !c) land mask;
-  ctx.h.(3) <- (ctx.h.(3) + !d) land mask;
-  ctx.h.(4) <- (ctx.h.(4) + !e) land mask;
-  ctx.h.(5) <- (ctx.h.(5) + !f) land mask;
-  ctx.h.(6) <- (ctx.h.(6) + !g) land mask;
-  ctx.h.(7) <- (ctx.h.(7) + !h) land mask
+  st.(0) <- (st.(0) + !a) land mask;
+  st.(1) <- (st.(1) + !b) land mask;
+  st.(2) <- (st.(2) + !c) land mask;
+  st.(3) <- (st.(3) + !d) land mask;
+  st.(4) <- (st.(4) + !e) land mask;
+  st.(5) <- (st.(5) + !f) land mask;
+  st.(6) <- (st.(6) + !g) land mask;
+  st.(7) <- (st.(7) + !h) land mask
 
 (* Top up a partly filled [ctx.block] first, then compress whole blocks
    straight from [buf], and buffer what is left. *)

@@ -215,6 +215,7 @@ type t = {
 
 let ns_of_seconds s = Int64.of_float (s *. 1e9)
 let i64max a b = if Int64.compare a b >= 0 then a else b
+let i64min a b = if Int64.compare a b <= 0 then a else b
 
 (* ------------------------------------------------------------------ *)
 (* Syscall shim: every Unix call on the serving path consults the fault
@@ -807,9 +808,14 @@ let install_conn t sh ~admin fd =
     Atomic.incr sh.ctr.c_accepted;
     (try Epoll.add sh.ep fd ~read:true ~write:true ~edge:true
      with Unix.Unix_error _ -> conn.kill <- true);
-    (* Arm the armor: the first deadline is the header-read one. *)
+    (* Arm the armor: the first visit is at the header-read deadline,
+       or sooner when the write deadline is shorter (see
+       [check_deadlines]). *)
     Wheel.schedule sh.wheel conn.color
-      ~at:(Int64.add now (ns_of_seconds t.overload.header_deadline))
+      ~at:
+        (Int64.add now
+           (ns_of_seconds
+              (Float.min t.overload.header_deadline t.overload.write_deadline)))
   end
 
 (* Accept loop, acceptor shard (id 0) only, for either listener: accept
@@ -864,7 +870,10 @@ let rec accept_loop t sh ~admin lfd budget =
    stopped draining our output — nothing more can be delivered, reap),
    header-read (slow loris — 408 via a colored evict event), keep-alive
    idle (quiet close). If nothing expired, re-arm at the earliest
-   applicable deadline. *)
+   applicable deadline, but never later than one write deadline away: a
+   write can stall between visits without the shard seeing it (handlers
+   queue output off the shard), and the next visit must still come in
+   time to evict within two write deadlines. *)
 
 let evict t sh conn kind =
   conn.evicting <- true;
@@ -912,7 +921,8 @@ let check_deadlines t sh conn ~now =
           (fun acc (a, _) -> if Int64.compare a acc < 0 then a else acc)
           Int64.max_int ds
     in
-    Wheel.schedule sh.wheel conn.color ~at
+    Wheel.schedule sh.wheel conn.color
+      ~at:(i64min at (Int64.add now (ns_of_seconds ov.write_deadline)))
 
 (* The acceptor's listeners are level-triggered: a budget-bounded
    accept batch may leave connections pending, and they must re-report.

@@ -88,7 +88,9 @@ type overload = {
           close *)
   write_deadline : float;
       (** seconds without write progress while output is pending before
-          the connection is dropped *)
+          the connection is dropped; the timing wheel visits every
+          connection at least once per write deadline, so the drop
+          comes within two of them *)
   shed_pending_hwm : int;
       (** shed budget in requests: a newly parsed request is shed with
           a 503 once the runtime backlog ({!Rt.Runtime.pending}) plus

@@ -374,6 +374,44 @@ let prop_hmac_reference =
         Gen.(pair (gen_string_upto 200) (gen_string_upto 1_100)))
     (fun (key, msg) -> Crypto.Hmac.sha256 ~key msg = ref_hmac ~key msg)
 
+(* Allocation budgets, read from this domain's own counters after a
+   minor collection, so they repeat exactly: minor words from
+   [Gc.minor_words] ([Gc.counters]' minor figure undercounts on OCaml
+   5.1) and major words from [Gc.counters] ([Gc.quick_stat]'s read 0
+   until a collection). The counters' own allocation is measured with
+   an empty call and taken off. *)
+let alloc_words f =
+  let measure f =
+    Gc.minor ();
+    let minor0 = Gc.minor_words () in
+    let _, _, major0 = Gc.counters () in
+    let r = Sys.opaque_identity (f ()) in
+    let _, _, major1 = Gc.counters () in
+    let minor1 = Gc.minor_words () in
+    (r, minor1 -. minor0, major1 -. major0)
+  in
+  let _, overhead, _ = measure (fun () -> ()) in
+  let r, minor, major = measure f in
+  (r, int_of_float (minor -. overhead), int_of_float major)
+
+let alloc_payload = String.init 16_384 (fun i -> Char.chr (i * 31 land 0xFF))
+
+(* 16 KB of SHA-256 allocates only its context and digest, never per
+   block or per round: 96 minor words, as before the rounds were
+   unrolled. *)
+let test_sha256_alloc_budget () =
+  let _, minor, major = alloc_words (fun () -> Crypto.Sha256.digest alloc_payload) in
+  Alcotest.(check int) "major words" 0 major;
+  Alcotest.(check bool) (Printf.sprintf "minor words %d <= 96" minor) true (minor <= 96)
+
+(* HMAC streams its padded keys through two contexts: no key strings,
+   no concatenated outer message (244 minor words when it built them). *)
+let test_hmac_alloc_budget () =
+  let key = Crypto.Sha256.digest "alloc key" in
+  let _, minor, major = alloc_words (fun () -> Crypto.Hmac.sha256 ~key alloc_payload) in
+  Alcotest.(check int) "major words" 0 major;
+  Alcotest.(check bool) (Printf.sprintf "minor words %d < 244" minor) true (minor < 244)
+
 let suite =
   [
     Alcotest.test_case "sha256 vectors" `Quick test_sha256_vectors;
@@ -393,4 +431,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sha256_reference;
     QCheck_alcotest.to_alcotest prop_sha256_streaming;
     QCheck_alcotest.to_alcotest prop_hmac_reference;
+    Alcotest.test_case "sha256 16KB allocation budget" `Quick test_sha256_alloc_budget;
+    Alcotest.test_case "hmac 16KB allocation budget" `Quick test_hmac_alloc_budget;
   ]

@@ -205,6 +205,92 @@ let prop_roundtrip =
         && consumed = String.length raw
       | Error _ -> false)
 
+(* Response building. [ref_build] is the two-copy [Buffer] builder
+   that [Httpkit.Response.build] replaced, kept as the oracle for its
+   bytes. *)
+let ref_build ?(status = Httpkit.Response.OK) ?(content_type = "text/html")
+    ?(keep_alive = true) ?(extra_headers = []) ~body () =
+  let open Httpkit.Response in
+  let buf = Buffer.create (String.length body + 128) in
+  Buffer.add_string buf
+    (Printf.sprintf "HTTP/1.1 %d %s\r\n" (status_code status) (status_reason status));
+  Buffer.add_string buf (Printf.sprintf "Content-Type: %s\r\n" content_type);
+  Buffer.add_string buf (Printf.sprintf "Content-Length: %d\r\n" (String.length body));
+  Buffer.add_string buf
+    (Printf.sprintf "Connection: %s\r\n" (if keep_alive then "keep-alive" else "close"));
+  List.iter
+    (fun (name, value) -> Buffer.add_string buf (Printf.sprintf "%s: %s\r\n" name value))
+    extra_headers;
+  Buffer.add_string buf "\r\n";
+  Buffer.add_string buf body;
+  Buffer.contents buf
+
+let all_statuses =
+  Httpkit.Response.
+    [
+      OK;
+      Not_found;
+      Bad_request;
+      Internal_error;
+      Request_timeout;
+      Header_fields_too_large;
+      Service_unavailable;
+    ]
+
+(* Header values up to 200 characters, so with three extra headers the
+   header block runs well past the 128 bytes the old builder reserved
+   beyond the body. *)
+let prop_build_matches_reference =
+  let open QCheck.Gen in
+  let token = string_size ~gen:(char_range 'a' 'z') (int_range 1 12) in
+  let value = string_size ~gen:printable (int_range 0 200) in
+  let gen =
+    map
+      (fun ((status, keep_alive, content_type), (extra_headers, body)) ->
+        (status, keep_alive, content_type, extra_headers, body))
+      (pair
+         (triple (oneofl all_statuses) bool
+            (oneofl [ "text/html"; "application/octet-stream"; "text/plain; charset=utf-8" ]))
+         (pair
+            (list_size (int_range 0 3) (pair token value))
+            (string_size ~gen:char (int_range 0 20_000))))
+  in
+  QCheck.Test.make ~name:"response build matches the two-copy reference" ~count:300
+    (QCheck.make
+       ~print:(fun (status, keep_alive, content_type, extra, body) ->
+         Printf.sprintf "%d keep_alive=%b %s, %d extra headers, %d-byte body"
+           (Httpkit.Response.status_code status) keep_alive content_type (List.length extra)
+           (String.length body))
+       gen)
+    (fun (status, keep_alive, content_type, extra_headers, body) ->
+      Httpkit.Response.build ~status ~content_type ~keep_alive ~extra_headers ~body ()
+      = ref_build ~status ~content_type ~keep_alive ~extra_headers ~body ())
+
+let test_build_golden () =
+  Alcotest.(check string) "bytes"
+    "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\n\
+     Content-Length: 5\r\nConnection: close\r\nRetry-After: 1\r\nX-Tag: ab\r\n\r\nhello"
+    (Httpkit.Response.build ~status:Httpkit.Response.Service_unavailable
+       ~content_type:"text/plain" ~keep_alive:false
+       ~extra_headers:[ ("Retry-After", "1"); ("X-Tag", "ab") ]
+       ~body:"hello" ())
+
+(* A crypto_16k-shaped response is allocated once on the major heap: the
+   result itself plus at most 16 words (8,268 words with the two-copy
+   buffer). *)
+let test_build_alloc_budget () =
+  let body = Test_crypto.alloc_payload and tag = String.make 64 'f' in
+  let r, _, major =
+    Test_crypto.alloc_words (fun () ->
+        Httpkit.Response.build ~content_type:"application/octet-stream"
+          ~extra_headers:[ ("X-Tag", tag) ] ~body ())
+  in
+  let own = Obj.size (Obj.repr r) in
+  Alcotest.(check bool)
+    (Printf.sprintf "major words %d <= %d + 16" major own)
+    true
+    (major <= own + 16)
+
 let suite =
   [
     Alcotest.test_case "simple get" `Quick test_parse_simple_get;
@@ -222,4 +308,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_scan_hint_equivalent;
     QCheck_alcotest.to_alcotest prop_garbage_is_malformed;
+    QCheck_alcotest.to_alcotest prop_build_matches_reference;
+    Alcotest.test_case "response build golden bytes" `Quick test_build_golden;
+    Alcotest.test_case "response build 16KB allocation budget" `Quick test_build_alloc_budget;
   ]

@@ -757,9 +757,9 @@ let test_slow_reader_drains () =
       Alcotest.(check int) "none evicted" 0 s.conns_evicted)
 
 (* A reader that never reads: once its output has made no progress for
-   [write_deadline] the connection is evicted and closed. The wheel
-   first visits a connection at its header deadline, so that is short
-   too. *)
+   [write_deadline] the connection is evicted and closed. The short
+   header deadline dates from when the wheel first visited a connection
+   only at it; the case after this one runs with the default. *)
 let test_stalled_reader_evicted () =
   let overload =
     {
@@ -782,6 +782,34 @@ let test_stalled_reader_evicted () =
       Alcotest.(check int) "accepted = closed" s.conns_accepted s.conns_closed;
       Alcotest.(check int) "dropped as failed" 1 s.conns_failed;
       Alcotest.(check int) "parsed = served" s.reqs_parsed s.reqs_served)
+
+(* The same reader under the default header deadline (10 s): the wheel
+   visits a connection at least once per write deadline, so the stall
+   is seen and evicted within two write deadlines, not at the header
+   or idle deadline. *)
+let test_stalled_reader_evicted_by_write_deadline () =
+  let overload =
+    { Rtnet.Server.default_overload with Rtnet.Server.write_deadline = 0.3 }
+  in
+  with_server ~workers:2 ~overload ~app:(big_app (cache ()))
+    (fun _rt server _cache ->
+      let c = connect_small_rcvbuf (Rtnet.Server.port server) in
+      let t0 = Unix.gettimeofday () in
+      send c (get "/big");
+      let evicted =
+        await ~secs:2.0 (fun () ->
+            let s = Rtnet.Server.stats server in
+            s.conns_evicted = 1 && s.conns_closed = 1)
+      in
+      let waited = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "evicted and closed within 2 s (took %.2f s)" waited)
+        true evicted;
+      Unix.close c;
+      Rtnet.Server.stop server;
+      let s = Rtnet.Server.stats server in
+      Alcotest.(check int) "accepted = closed" s.conns_accepted s.conns_closed;
+      Alcotest.(check int) "dropped as failed" 1 s.conns_failed)
 
 let suite =
   [
@@ -817,4 +845,7 @@ let suite =
       `Quick test_slow_reader_drains;
     Alcotest.test_case "write stall: a reader that never reads is evicted"
       `Quick test_stalled_reader_evicted;
+    Alcotest.test_case
+      "write stall: eviction follows the write deadline, not the header one"
+      `Quick test_stalled_reader_evicted_by_write_deadline;
   ]
