@@ -10,7 +10,7 @@
    the per-site streams race-free when worker domains write
    concurrently with the poller's reads. *)
 
-type site = Read | Write | Accept | Select | Close | Kill
+type site = Read | Write | Accept | Select | Close
 
 let site_name = function
   | Read -> "read"
@@ -18,9 +18,8 @@ let site_name = function
   | Accept -> "accept"
   | Select -> "select"
   | Close -> "close"
-  | Kill -> "kill"
 
-let all_sites = [ Read; Write; Accept; Select; Close; Kill ]
+let all_sites = [ Read; Write; Accept; Select; Close ]
 
 let site_index = function
   | Read -> 0
@@ -28,7 +27,6 @@ let site_index = function
   | Accept -> 2
   | Select -> 3
   | Close -> 4
-  | Kill -> 5
 
 type outcome = Pass | Errno of Unix.error | Torn of int | Delay of float
 
@@ -46,19 +44,12 @@ type plan = {
   accept : site_plan;
   select : site_plan;
   close : site_plan;
-  kill : site_plan;
-      (** Consulted by the runtime's workers at every event boundary
-          (when the runtime was created with this plane): any non-[Pass]
-          decision kills the worker domain on the spot. Use a plain
-          errno probability as the kill probability — the errno value
-          itself is ignored. *)
 }
 
 let calm = { errnos = []; torn = 0.0; torn_cap = 1; delay = 0.0; delay_s = 0.0 }
 
 let calm_plan =
-  { read = calm; write = calm; accept = calm; select = calm; close = calm;
-    kill = calm }
+  { read = calm; write = calm; accept = calm; select = calm; close = calm }
 
 (* The saturation mix: frequent torn I/O and EINTR, rare peer-gone
    errors on the data path, occasional fd exhaustion and delayed
@@ -96,9 +87,6 @@ let hostile_plan =
       { errnos = [ (Unix.EINTR, 0.05) ]; torn = 0.0; torn_cap = 1; delay = 0.0; delay_s = 0.0 };
     close =
       { errnos = [ (Unix.EINTR, 0.02) ]; torn = 0.0; torn_cap = 1; delay = 0.0; delay_s = 0.0 };
-    (* The hostile mix stays a *syscall* storm: worker kills are a
-       separate drill (chaos phase C), opted into per plan. *)
-    kill = calm;
   }
 
 type counts = { passes : int; errnos : int; torn : int; delays : int }
@@ -152,7 +140,6 @@ let plan_for plan site =
   | Accept -> plan.accept
   | Select -> plan.select
   | Close -> plan.close
-  | Kill -> plan.kill
 
 let decide t site =
   match t with

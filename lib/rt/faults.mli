@@ -15,13 +15,8 @@
     pass the call through, raise an errno before the syscall, cap the
     byte count of a read/write (torn I/O), or delay then pass. *)
 
-(** Call sites routed through the shim. The first five are the serving
-    stack's syscalls. [Kill] is the runtime's worker-death site: each
-    worker consults it at every event boundary (when the runtime holds
-    an active plane), and any non-[Pass] decision kills that worker
-    domain on the spot — the deterministic trigger for the
-    self-healing drills (chaos phase C, kill-storm suites). *)
-type site = Read | Write | Accept | Select | Close | Kill
+(** Call sites routed through the shim: the serving stack's syscalls. *)
+type site = Read | Write | Accept | Select | Close
 
 val site_name : site -> string
 val all_sites : site list
@@ -50,10 +45,6 @@ type plan = {
   accept : site_plan;
   select : site_plan;
   close : site_plan;
-  kill : site_plan;
-      (** worker-death probability per event boundary, expressed as any
-          errno probability (the errno value is ignored); [calm] in
-          both {!calm_plan} and {!hostile_plan} *)
 }
 
 val calm : site_plan

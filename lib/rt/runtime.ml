@@ -77,31 +77,26 @@ type color_queue = {
           mapped so the color cannot re-hash to a fresh queue. *)
 }
 
-(* Raised by a worker to die on purpose: the [Faults] Kill site, the
-   [Restart_worker] failure policy, and [inject_worker_death] all
-   funnel here. Raised only at an event boundary, after the event's
-   accounting is complete, so a deliberate death never loses an
-   accepted event. *)
+(* Raised by a worker to die on purpose ([inject_worker_death]), only
+   at an event boundary, after the event's accounting is complete, so a
+   deliberate death never loses an accepted event. *)
 exception Worker_killed
 
-(* Raised by a worker acking a quarantine request at its next event
-   boundary: it exits immediately, leaving its colors for the
-   supervisor to reclaim. *)
-exception Worker_quarantined
+(* Raised by a zombie: a worker whose wedged handler finally returned
+   after the supervisor confiscated its slot. It exits without touching
+   its current queue again — the supervisor owns it from then on. *)
+exception Worker_confiscated
 
-(* [q_state] protocol between a worker and the supervisor. The two
-   CASes ([q_normal -> q_requested] by the supervisor, then either
-   [q_requested -> q_acked] by the worker or [q_requested ->
-   q_confiscated] by the supervisor) have exactly one winner each, so
-   a worker that loses the ack race exits without touching its current
-   queue again — the supervisor owns it from that point on. *)
+(* [q_state] protocol between a worker and the supervisor. The
+   supervisor stores [q_requested] over [q_normal]; then exactly one
+   CAS wins: [q_requested -> q_normal] by the worker at its next event
+   boundary (it resumes in place) or [q_requested -> q_confiscated] by
+   the supervisor once the confirm window has passed. *)
 let q_normal = 0
 
 let q_requested = 1
 
-let q_acked = 2
-
-let q_confiscated = 3
+let q_confiscated = 2
 
 type worker_state = {
   inbox : color_queue list Atomic.t;
@@ -134,8 +129,8 @@ type worker_state = {
       (** this slot's live telemetry counters; written only by the
           domain running the slot *)
   (* --- supervision state (one slot per worker; the slot survives the
-     domain, so a replacement inherits telemetry/trace shards and stays
-     the single writer — at most one live domain ever runs a slot). --- *)
+     domain, so the next lifecycle's domain inherits its telemetry and
+     trace shards — at most one live domain ever runs a slot). --- *)
   busy_since : int Atomic.t;
       (** 0 = idle; else [Clock.now_ns] at the current event's start.
           Doubles as the heartbeat stamp and the wedge-age source.
@@ -148,15 +143,16 @@ type worker_state = {
   live : bool Atomic.t;  (** a domain is currently running this slot *)
   exited : bool Atomic.t;  (** the domain's wrapper finished *)
   crashed : bool Atomic.t;
-      (** exit was a death (escape/kill/quarantine), not a clean
+      (** exit was a death (escape/kill/confiscation), not a clean
           terminal-quiescence return; written before [exited] *)
   mutable death_reason : string;  (** written before [exited] is set *)
-  phase : int Atomic.t;  (** encoded {!Supervision.phase} *)
-  slot_restarts : int Atomic.t;
+  phase : int Atomic.t;
+      (** encoded {!Supervision.phase}; written by the supervisor, and
+          by the lifecycle while no supervisor runs *)
   mutable q_since : int;  (** supervisor-private: quarantine request ns *)
 }
 
-type failure_policy = Swallow | Stop_runtime | Restart_worker
+type failure_policy = Swallow | Stop_runtime
 
 (* Shutdown gate, monotonic within a serving epoch: [accepting] takes
    any register, [draining] (set by [stop]) refuses external registers
@@ -198,25 +194,25 @@ type t = {
   lifecycle_lock : Mutex.t;  (** serializes start/stop/run_until_idle *)
   mutable running : bool;
   (* --- supervision plane --- *)
-  faults : Faults.t;
-      (** consulted at the [Kill] site at every event boundary when
-          active; [passthrough] costs one constructor check *)
   sup : Supervision.config;
-  breakers : Supervision.Breaker.t array;  (** supervisor-private *)
   slot_domains : unit Domain.t option array;
-      (** per-slot domain handle. Written by [spawn_worker] (under the
-          lifecycle lock at start, by the supervisor on respawn) and
-          cleared by whoever joins; lifecycle code only touches it
-          after the supervisor domain has been joined. *)
+      (** per-slot domain handle. Written by [spawn_worker] under the
+          lifecycle lock and cleared by whoever joins; lifecycle code
+          only touches it after the supervisor domain has been joined. *)
   mon_stop : bool Atomic.t;
   mutable monitor : unit Domain.t option;
-  restart_count : int Atomic.t;  (** worker domains respawned *)
+  wake_lock : Mutex.t;
+  mutable wake_pipe : (Unix.file_descr * Unix.file_descr) option;
+      (** the supervisor's self-pipe (read end, write end), under
+          [wake_lock]: a death, a queue stranded on a down slot and
+          [stop] write a byte to wake it. [None] while no supervisor
+          runs. *)
   migration_count : int Atomic.t;  (** color-queues re-homed *)
   reclaim_count : int Atomic.t;  (** color-queues swept off dead slots *)
   abandoned : int Atomic.t;
       (** accepted events dropped at force-confiscation; conservation
           becomes attempts = executed + pending + refused + abandoned *)
-  degraded : bool Atomic.t;  (** some slot is terminally lost *)
+  degraded : bool Atomic.t;  (** some slot is Dead or Lost *)
 }
 
 let default_color = 0
@@ -236,24 +232,21 @@ let phase_to_int = function
   | Supervision.Suspect -> 1
   | Supervision.Quarantined -> 2
   | Supervision.Dead -> 3
-  | Supervision.Restarting -> 4
-  | Supervision.Lost -> 5
+  | Supervision.Lost -> 4
 
 let phase_of_int = function
   | 0 -> Supervision.Live
   | 1 -> Supervision.Suspect
   | 2 -> Supervision.Quarantined
   | 3 -> Supervision.Dead
-  | 4 -> Supervision.Restarting
   | _ -> Supervision.Lost
 
 (* Monotonic ns as int: 63 bits hold ~146 years of nanoseconds, and
-   every consumer (wedge ages, heartbeats, breaker arithmetic) wants
-   plain int math. *)
+   every consumer (wedge ages, heartbeats) wants plain int math. *)
 let now_int () = Int64.to_int (Clock.now_ns ())
 
 let create ?workers ?(on_error = Swallow) ?trace
-    ?(faults = Faults.passthrough) ?(supervision = Supervision.default_config) () =
+    ?(supervision = Supervision.default_config) () =
   let n =
     match workers with
     | Some n ->
@@ -288,7 +281,6 @@ let create ?workers ?(on_error = Swallow) ?trace
             crashed = Atomic.make false;
             death_reason = "";
             phase = Atomic.make (phase_to_int Supervision.Live);
-            slot_restarts = Atomic.make 0;
             q_since = 0;
           });
     victims = victims n;
@@ -307,13 +299,12 @@ let create ?workers ?(on_error = Swallow) ?trace
     trace = Option.map (fun cfg -> Trace.create ~workers:n cfg) trace;
     lifecycle_lock = Mutex.create ();
     running = false;
-    faults;
     sup = supervision;
-    breakers = Array.init n (fun _ -> Supervision.Breaker.create supervision);
     slot_domains = Array.make n None;
     mon_stop = Atomic.make false;
     monitor = None;
-    restart_count = Atomic.make 0;
+    wake_lock = Mutex.create ();
+    wake_pipe = None;
     migration_count = Atomic.make 0;
     reclaim_count = Atomic.make 0;
     abandoned = Atomic.make 0;
@@ -373,6 +364,19 @@ let evq_pop cq =
     cq.popped <- cq.popped + 1;
     Some n.node_ev
 
+(* A dead slot stays down until the next lifecycle start, so while the
+   runtime is degraded a fresh queue homed there starts on the next
+   live slot instead of waiting for the supervisor to migrate it. With
+   no live slot (before [start], or degraded to zero) it keeps [h]. *)
+let live_home t h =
+  let rec go k =
+    if k = t.n then h
+    else
+      let v = (h + k) mod t.n in
+      if Atomic.get t.states.(v).live then v else go (k + 1)
+  in
+  if Atomic.get t.degraded then go 0 else h
+
 (* Locate or create the color-queue; caller holds [sh]'s lock. A fresh
    color hashes to its home worker, like the seed runtime — unless the
    injector supplied a placement hint ([home]), in which case the new
@@ -397,9 +401,10 @@ let locate_locked t sh ?home color =
         chained = Atomic.make false;
         owner =
           Atomic.make
-            (match home with
-            | Some h -> ((h mod t.n) + t.n) mod t.n
-            | None -> color mod t.n);
+            (live_home t
+               (match home with
+               | Some h -> ((h mod t.n) + t.n) mod t.n
+               | None -> color mod t.n));
         retired = false;
         poisoned = false;
       }
@@ -451,6 +456,19 @@ let broadcast_all t =
   Array.iter (fun ws -> ignore (wake ws)) t.states;
   wake_quiescers t
 
+(* Wake the supervisor out of its [select]: a write to its self-pipe.
+   Non-blocking, so a full pipe (the supervisor already has a wake
+   pending) just drops the byte. The lock orders the write against
+   [stop_monitor] closing the pipe. *)
+let wake_supervisor t =
+  Mutex.lock t.wake_lock;
+  (match t.wake_pipe with
+  | Some (_, fd) -> (
+    try ignore (Unix.single_write_substring fd "!" 0 1)
+    with Unix.Unix_error _ -> ())
+  | None -> ());
+  Mutex.unlock t.wake_lock
+
 let rec inbox_push ws cq =
   let old = Atomic.get ws.inbox in
   if not (Atomic.compare_and_set ws.inbox old (cq :: old)) then inbox_push ws cq
@@ -460,11 +478,16 @@ let rec inbox_push ws cq =
    own), and a worthy queue is advertised to thieves — waking a sibling
    only if the target was awake already, since a target just woken
    takes the queue itself. The push precedes the [sleeping] read, the
-   mirror of the parking worker's flag-then-inbox order. *)
+   mirror of the parking worker's flag-then-inbox order. A push onto a
+   slot that is not live (it died after this queue was homed there)
+   wakes the supervisor, which sweeps the slot again: the push precedes
+   the [live] read, and the slot's death clears [live] before the
+   supervisor's first sweep, so no push lands unseen. *)
 let hand_off t cq target =
   let ts = t.states.(target) in
   Atomic.incr ts.n_chained;
   inbox_push ts cq;
+  if not (Atomic.get ts.live) then wake_supervisor t;
   let woke = wake ts in
   if worthy cq then advertise t target ~wake_sibling:(not woke)
 
@@ -747,7 +770,6 @@ let execute t w ctx (cq : color_queue) event ~t0 =
   let concurrent = 1 + Atomic.fetch_and_add cq.running 1 in
   (* Record the worst concurrency ever observed for the invariant test. *)
   if concurrent > c.max_same_color then c.max_same_color <- concurrent;
-  let die_after = ref false in
   (match event.ev_run ctx with
   | () -> ()
   | exception e ->
@@ -755,12 +777,7 @@ let execute t w ctx (cq : color_queue) event ~t0 =
     c.last_error <- Some (event.ev_handler.name, Printexc.to_string e);
     (match t.on_error with
     | Swallow -> ()
-    | Stop_runtime -> request_abort t
-    | Restart_worker ->
-      (* The failing event still completes its accounting below (it is
-         consumed exactly once); only then does the worker die, so the
-         supervisor can migrate the remaining colors and respawn. *)
-      die_after := true));
+    | Stop_runtime -> request_abort t));
   let t1 = Clock.now_ns () in
   if Atomic.get t.states.(w).q_state = q_confiscated then begin
     (* Zombie path: while this handler wedged, the supervisor
@@ -769,7 +786,7 @@ let execute t w ctx (cq : color_queue) event ~t0 =
        no telemetry writes (the slot stays Lost, so the single-writer
        shards are safe either way). *)
     Atomic.decr cq.running;
-    raise Worker_quarantined
+    raise Worker_confiscated
   end;
   (* The span is stamped and recorded before [running] is released (and
      before the queue can be released, rotated or retired — all of that
@@ -787,7 +804,6 @@ let execute t w ctx (cq : color_queue) event ~t0 =
     ~qwait_ns:(max 0 (Int64.to_int (Int64.sub t0 event.ev_enq)))
     ~service_ns:(max 0 (Int64.to_int (Int64.sub t1 t0)));
   Atomic.decr cq.running;
-  if !die_after then raise Worker_killed;
   t1
 
 (* The pure core of the inbox probe: split a Treiber-stack image
@@ -1012,15 +1028,15 @@ let worker_loop t w =
       raise Worker_killed
     end
     else begin
-      (* Quarantine handshake: the supervisor asked us to stand down
-         (wedge deadline passed while we were inside a handler). Ack
-         and exit before touching [current] again — whoever wins the
-         CAS decides; losing it means we were already confiscated. *)
-      (match Atomic.get ws.q_state with
-      | q when q = q_requested || q = q_confiscated ->
-        ignore (Atomic.compare_and_set ws.q_state q_requested q_acked);
-        raise Worker_quarantined
-      | _ -> ());
+      (* Quarantine handshake: the supervisor saw our last handler run
+         past the kill deadline. It has returned, so take the request
+         back and carry on in place; losing the CAS means the confirm
+         window ran out first and the slot was confiscated, so exit
+         before touching [current] again. *)
+      if
+        Atomic.get ws.q_state <> q_normal
+        && not (Atomic.compare_and_set ws.q_state q_requested q_normal)
+      then raise Worker_confiscated;
       match next_event t w ws with
       | Some (event, cq) ->
         (* The busy stamp is raised before [pending] drops (SC): an
@@ -1036,14 +1052,6 @@ let worker_loop t w =
         let t1 = execute t w ctx cq event ~t0 in
         Atomic.set ws.busy_since 0;
         Atomic.set ws.hb_last (Int64.to_int t1);
-        (* Seeded worker-death site: the chaos drills kill workers
-           mid-storm here — after the event's accounting, so
-           conservation survives every kill schedule. *)
-        if Faults.is_active t.faults then begin
-          match Faults.decide t.faults Faults.Kill with
-          | Faults.Pass -> ()
-          | _ -> raise Worker_killed
-        end;
         loop ()
       | None ->
         if Atomic.get t.pending > 0 && try_steal t w then loop ()
@@ -1104,13 +1112,15 @@ let worker_main t w =
   (match worker_loop t w with
   | () -> Atomic.set ws.crashed false  (* clean terminal-quiescence exit *)
   | exception Worker_killed -> on_death t w "killed"
-  | exception Worker_quarantined -> on_death t w "quarantined"
+  | exception Worker_confiscated -> on_death t w "confiscated"
   | exception e -> on_death t w (Printexc.to_string e));
   Atomic.set ws.live false;
   Atomic.set ws.exited true;
-  (* Parked siblings re-check liveness, [quiesce]/[stop] waiters
-     re-evaluate, and the supervisor's next tick sees [exited]. *)
-  broadcast_all t
+  (* Parked siblings re-check liveness and [quiesce]/[stop] waiters
+     re-evaluate; a death also wakes the supervisor to reclaim the
+     slot at once (a clean exit is joined by the lifecycle). *)
+  broadcast_all t;
+  if Atomic.get ws.crashed then wake_supervisor t
 
 (* Re-home one color-queue onto [target]. The ownership store comes
    before the inbox push, exactly as in [steal_from], so whoever later
@@ -1128,7 +1138,8 @@ let rehome t cq target =
    slot's domain is confirmed gone (joined, or confiscated past the
    handshake): nothing else touches the slot's owner-private state.
    Idempotent — later ticks re-run it to catch straggler publishes
-   that chained onto the dead slot with a pre-sweep [owner] read.
+   that chained onto the dead slot with a pre-sweep [owner] read (such
+   a publish wakes the supervisor; see [hand_off]).
    Returns false when there is no live slot to migrate to. *)
 let reclaim_slot t w =
   let ws = t.states.(w) in
@@ -1194,36 +1205,14 @@ let spawn_worker t w =
   Atomic.set ws.live true;
   t.slot_domains.(w) <- Some (Domain.spawn (fun () -> worker_main t w))
 
-(* Respawn a dead slot under the restart-backoff + storm breaker: the
-   slot flaps at most [storm_max] times per window, then degrades to
-   N-1 workers instead. *)
-let maybe_restart t w now =
-  if not (Atomic.get t.mon_stop) then begin
-    let ws = t.states.(w) in
-    match Supervision.Breaker.decide t.breakers.(w) ~now_ns:now with
-    | Supervision.Breaker.Restart ->
-      Supervision.Breaker.note_restart t.breakers.(w) ~now_ns:now;
-      Atomic.incr ws.slot_restarts;
-      Atomic.incr t.restart_count;
-      set_phase ws Supervision.Restarting;
-      spawn_worker t w
-    | Supervision.Breaker.Wait _ -> ()
-    | Supervision.Breaker.Give_up ->
-      if get_phase ws <> Supervision.Lost then begin
-        set_phase ws Supervision.Lost;
-        Atomic.set t.degraded true;
-        broadcast_all t
-      end
-  end
-
-(* A quarantined worker never acked within the confirm window: it is
+(* A quarantined worker did not resume within the confirm window: it is
    wedged inside the handler with no way to preempt it. Win the
    confiscation CAS (the worker can now only observe it and exit),
-   declare the slot Lost — it is never respawned, so the zombie stays
-   the sole writer of this slot's telemetry/trace shards — abandon the
-   wedged color's backlog (its mutual exclusion cannot be certified
-   while the zombie may still be running it) and migrate the innocent
-   colors to survivors. *)
+   declare the slot Lost — it is never respawned while the zombie may
+   run, so the zombie stays the sole writer of this slot's
+   telemetry/trace shards — abandon the wedged color's backlog (its
+   mutual exclusion cannot be certified while the zombie may still be
+   running it) and migrate the innocent colors to survivors. *)
 let force_confiscate t w =
   let ws = t.states.(w) in
   if Atomic.compare_and_set ws.q_state q_requested q_confiscated then begin
@@ -1260,36 +1249,39 @@ let force_confiscate t w =
     broadcast_all t
   end
 
-(* Watchdog for one live slot: the busy stamp is the heartbeat. *)
+(* Watchdog for one live slot: the busy stamp is the heartbeat. The
+   phase is written here only (the worker takes a quarantine request
+   back with its CAS alone), so a resumed slot reads Live again from
+   the next tick on. *)
 let check_live_slot t w now =
   let ws = t.states.(w) in
   let busy = Atomic.get ws.busy_since in
-  if busy = 0 then begin
-    if get_phase ws = Supervision.Suspect then set_phase ws Supervision.Live;
-    Supervision.Breaker.note_healthy t.breakers.(w) ~now_ns:now
+  let age = if busy = 0 then 0 else now - busy in
+  if Atomic.get ws.q_state = q_requested then begin
+    if now - ws.q_since > t.sup.confirm_wait_ns then force_confiscate t w
   end
-  else begin
-    let age = now - busy in
-    let q = Atomic.get ws.q_state in
-    if q = q_normal then begin
-      if age > t.sup.wedge_kill_ns then begin
-        ws.q_since <- now;
-        if Atomic.compare_and_set ws.q_state q_normal q_requested then begin
-          set_phase ws Supervision.Quarantined;
-          broadcast_all t
-        end
-      end
-      else if age > t.sup.wedge_warn_ns then set_phase ws Supervision.Suspect
-    end
-    else if q = q_requested && now - ws.q_since > t.sup.confirm_wait_ns then
-      force_confiscate t w
+  else if age > t.sup.wedge_kill_ns then begin
+    (* Phase first: the worker may take the request back as soon as
+       it is stored, and must not be left showing Quarantined. The
+       broadcast wakes it if it parked between our busy read and the
+       store, so a finished handler is never confiscated. *)
+    ws.q_since <- now;
+    set_phase ws Supervision.Quarantined;
+    Atomic.set ws.q_state q_requested;
+    broadcast_all t
   end
+  else
+    set_phase ws
+      (if age > t.sup.wedge_warn_ns then Supervision.Suspect else Supervision.Live)
 
 (* A slot's domain exited: join it (the wrapper finished, so the join
    is immediate and provides the happens-before for the sweep), then
-   reclaim and maybe respawn. Clean terminal-quiescence exits released
-   everything themselves; Lost slots were reclaimed at confiscation. *)
-let handle_exit t w now =
+   reclaim it; a dead slot stays down until the next lifecycle start.
+   Clean terminal-quiescence exits released everything themselves;
+   Lost slots were reclaimed at confiscation. [degraded] is raised
+   before the sweep, so a queue created after the sweep is homed on a
+   live slot ([live_home]). *)
+let handle_exit t w =
   let ws = t.states.(w) in
   (match t.slot_domains.(w) with
   | Some d ->
@@ -1299,42 +1291,51 @@ let handle_exit t w now =
   Atomic.set ws.exited false;
   if Atomic.get ws.crashed && get_phase ws <> Supervision.Lost then begin
     set_phase ws Supervision.Dead;
-    ignore (reclaim_slot t w);
-    if Atomic.get t.shutdown = accepting then maybe_restart t w now
+    Atomic.set t.degraded true;
+    ignore (reclaim_slot t w)
   end
 
 let supervise_tick t =
   let now = now_int () in
   for w = 0 to t.n - 1 do
     let ws = t.states.(w) in
-    if Atomic.get ws.exited then handle_exit t w now
+    if Atomic.get ws.exited then handle_exit t w
     else if Atomic.get ws.live then check_live_slot t w now
     else if get_phase ws = Supervision.Dead || get_phase ws = Supervision.Lost
-    then begin
+    then
       (* Down slot: catch straggler publishes that chained onto it
-         behind a pre-sweep [owner] read, then retry the backoff. *)
-      ignore (reclaim_slot t w);
-      if get_phase ws = Supervision.Dead && Atomic.get t.shutdown = accepting
-      then maybe_restart t w now
-    end
+         behind a pre-sweep [owner] read. *)
+      ignore (reclaim_slot t w)
   done;
-  (* With every slot down for good, pending work can never drain:
-     abort so drains and [quiesce] waiters return honestly instead of
-     hanging — the degraded-to-zero endgame. *)
+  (* With every slot down, pending work can never drain: abort so
+     drains and [quiesce] waiters return honestly instead of hanging —
+     the degraded-to-zero endgame. *)
   if
     Atomic.get t.pending > 0
     && Atomic.get t.shutdown <> aborted
     && (not (Array.exists (fun ws -> Atomic.get ws.live) t.states))
-    && (not (Array.exists (fun ws -> Atomic.get ws.exited) t.states))
-    && not
-         (Atomic.get t.shutdown = accepting
-         && Array.exists (fun ws -> get_phase ws = Supervision.Dead) t.states)
+    && not (Array.exists (fun ws -> Atomic.get ws.exited) t.states)
   then request_abort t
 
-let monitor_loop t =
+(* The supervisor sleeps in [select] on its self-pipe until a death, a
+   stranded hand-off or [stop_monitor] writes to it, or until a quarter
+   of the warn deadline has passed — the cadence at which busy handlers
+   are aged. An idle runtime thus wakes it four times a second by
+   default, instead of on a fixed poll. *)
+let monitor_loop t wake_r =
+  let period = float_of_int t.sup.wedge_warn_ns /. 4e9 in
+  let buf = Bytes.create 64 in
   while not (Atomic.get t.mon_stop) do
     supervise_tick t;
-    Unix.sleepf t.sup.poll_interval_s
+    match Unix.select [ wake_r ] [] [] period with
+    | [], _, _ -> ()
+    | _ -> ( try ignore (Unix.read wake_r buf 0 64) with Unix.Unix_error _ -> ())
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | exception Unix.Unix_error _ ->
+      (* [select] refuses an fd past FD_SETSIZE (a runtime started
+         with over 1,024 fds open): poll instead, missing a wake by at
+         most 5 ms. *)
+      Unix.sleepf (Float.min period 0.005)
   done;
   (* Final sweep so domains whose wrapper finished while we were being
      stopped are joined before the lifecycle collects the rest. *)
@@ -1342,8 +1343,19 @@ let monitor_loop t =
 
 let stop_monitor t =
   Atomic.set t.mon_stop true;
+  wake_supervisor t;
   (match t.monitor with Some d -> Domain.join d | None -> ());
-  t.monitor <- None
+  t.monitor <- None;
+  (* Both ends close together, under the lock: a write never finds the
+     read end closed (which would raise SIGPIPE). *)
+  Mutex.lock t.wake_lock;
+  Option.iter
+    (fun (r, w) ->
+      Unix.close r;
+      Unix.close w)
+    t.wake_pipe;
+  t.wake_pipe <- None;
+  Mutex.unlock t.wake_lock
 
 (* Join every slot domain that can be joined. A force-confiscated
    zombie that never returned cannot be joined without hanging; its
@@ -1362,18 +1374,24 @@ let join_workers t =
         end)
     t.slot_domains
 
-(* Spawn workers on every joinable slot plus the supervisor. A fresh
-   lifecycle gives previously-Lost slots another chance as long as
-   their zombie was actually joined; [degraded] is recomputed from
-   what is still stuck. *)
+(* Spawn workers on every joinable slot plus the supervisor and its
+   self-pipe. A fresh lifecycle respawns Dead slots, and gives
+   previously-Lost slots another chance as long as their zombie was
+   actually joined; [degraded] is recomputed from what is still stuck. *)
 let spawn_all t =
   Atomic.set t.mon_stop false;
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  Mutex.lock t.wake_lock;
+  t.wake_pipe <- Some (wake_r, wake_w);
+  Mutex.unlock t.wake_lock;
   for w = 0 to t.n - 1 do
     if t.slot_domains.(w) = None then spawn_worker t w
   done;
   Atomic.set t.degraded
     (Array.exists (fun ws -> get_phase ws = Supervision.Lost) t.states);
-  t.monitor <- Some (Domain.spawn (fun () -> monitor_loop t))
+  t.monitor <- Some (Domain.spawn (fun () -> monitor_loop t wake_r))
 
 (* Wait for a moment of quiescence without stopping. Workers broadcast
    [quiesce_cond] (under [quiesce_lock]) every time they observe
@@ -1456,7 +1474,6 @@ let pending t = Atomic.get t.pending
 let refused t = Atomic.get t.refused
 let is_serving t = Atomic.get t.serving
 let abandoned t = Atomic.get t.abandoned
-let worker_restarts t = Atomic.get t.restart_count
 let migrations t = Atomic.get t.migration_count
 let is_degraded t = Atomic.get t.degraded
 
@@ -1599,7 +1616,6 @@ let telemetry_snapshot ?(swap_window = false) t =
       w_phase = phase_of_int (Atomic.get ws.phase);
       w_hb_age_ns = max 0 (snap_now - Atomic.get ws.hb_last);
       w_busy_ns = (if busy = 0 then 0 else max 0 (snap_now - busy));
-      w_restarts = Atomic.get ws.slot_restarts;
     }
   in
   let sum f = Array.fold_left (fun acc (s : Telemetry.sample) -> acc + f s.counters) 0 samples in
@@ -1618,7 +1634,6 @@ let telemetry_snapshot ?(swap_window = false) t =
     s_worthy_threshold = Mely.steal_cost_prior;
     s_live_workers = live_workers t;
     s_degraded = Atomic.get t.degraded;
-    s_restarts = Atomic.get t.restart_count;
     s_migrations = Atomic.get t.migration_count;
     s_reclaimed = Atomic.get t.reclaim_count;
     s_abandoned = Atomic.get t.abandoned;

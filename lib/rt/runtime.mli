@@ -36,16 +36,19 @@
     worker's {!Telemetry.counters} (summed by {!errors}), and handled
     per the {!failure_policy} given to {!create}.
 
-    Worker domains can still die (a deliberate {!Restart_worker}
-    policy, an injected fault, a bug past the containment boundary) or
-    wedge (a handler that never returns). A supervisor domain watches
-    for both: it reclaims every color the failed slot held — inbox,
-    steal deque, and the queue it was draining — and migrates them to
-    survivors with the ownership hand-off ordered exactly like a steal,
-    so per-color mutual exclusion and FIFO survive the failure. Dead
-    slots are respawned under a restart-backoff with a storm breaker
-    that degrades the runtime to fewer workers instead of flapping;
-    see {!Supervision}. *)
+    Worker domains can still die (a bug past the containment boundary,
+    or {!inject_worker_death} in a test) or wedge (a handler that does
+    not return). A supervisor domain watches for both: it reclaims
+    every color a dead slot held — inbox, steal deque, and the queue it
+    was draining — and migrates them to survivors with the ownership
+    hand-off ordered exactly like a steal, so per-color mutual
+    exclusion and FIFO survive the failure. A dead slot is not
+    respawned: the runtime runs degraded until the next {!start} or
+    {!run_until_idle}. A wedged worker is quarantined; if its handler
+    returns within the confirm window it resumes in place, otherwise
+    its slot is confiscated. The supervisor sleeps until a death or
+    {!stop} wakes it, or for a quarter of the warn deadline; see
+    {!Supervision}. *)
 
 type t
 type handler
@@ -60,11 +63,6 @@ type failure_policy =
       (** abort: refuse further registers, workers exit without
           draining the backlog (inspect {!pending} for what was left);
           a serving runtime still needs {!stop} to join its domains *)
-  | Restart_worker
-      (** treat a handler failure as fatal to its worker domain: finish
-          the event's accounting, then kill the domain and let the
-          supervisor migrate its colors and respawn it under the
-          restart breaker *)
 
 type ctx = {
   worker : int;  (** worker executing the handler *)
@@ -77,7 +75,6 @@ val create :
   ?workers:int ->
   ?on_error:failure_policy ->
   ?trace:Trace.config ->
-  ?faults:Faults.t ->
   ?supervision:Supervision.config ->
   unit ->
   t
@@ -96,13 +93,9 @@ val create :
     is the handler-failure policy. [trace] enables the {!Trace} flight
     recorder for the lifetime of the runtime (per-worker span rings,
     optional latency histograms); omitted, recording is compiled in but
-    skipped behind one branch per event. [faults] (default
-    {!Faults.passthrough}) is consulted at the {!Faults.Kill} site after
-    every executed event: any non-[Pass] decision kills the executing
-    worker domain there, deterministically per seed — the chaos
-    harness's worker-kill storm. [supervision] (default
-    {!Supervision.default_config}) sets the supervisor's poll cadence,
-    wedge deadlines, and restart-breaker windows. *)
+    skipped behind one branch per event. [supervision] (default
+    {!Supervision.default_config}) sets the supervisor's wedge
+    deadlines. *)
 
 val workers : t -> int
 
@@ -126,8 +119,9 @@ val try_register :
     [home] is a placement hint from the injector (e.g. a poller shard
     spreading its connections): if this event creates [color]'s queue,
     the queue starts owned by worker [home mod workers] instead of
-    [color mod workers]. An existing queue keeps its owner — stealing,
-    not hints, moves live queues. *)
+    [color mod workers] (while the runtime is degraded, by the first
+    live worker from there on). An existing queue keeps its owner —
+    stealing, not hints, moves live queues. *)
 
 val try_register_batch :
   t -> ?home:int -> (int * handler * (ctx -> unit)) list -> bool
@@ -189,22 +183,19 @@ val is_serving : t -> bool
 
 val inject_worker_death : t -> int -> unit
 (** Ask worker [w]'s domain to die at its next event boundary (or on
-    wake, if parked) — the test/chaos hook for deliberate kills.
-    The supervisor then migrates the slot's colors and respawns it
-    under the restart breaker. Raises [Invalid_argument] on a bad
+    wake, if parked) — the test/chaos hook for the death-and-reclaim
+    path. The supervisor then migrates the slot's colors to survivors,
+    and the slot stays [Dead] (the runtime degraded) until the next
+    {!start} or {!run_until_idle}. Raises [Invalid_argument] on a bad
     index. *)
 
 val live_workers : t -> int
 (** Slots whose worker domain is currently running. *)
 
 val is_degraded : t -> bool
-(** True once any slot is terminally lost — its restart breaker
-    tripped, or a wedged domain was confiscated — so the runtime is
-    serving at reduced width. Latched until the next lifecycle start
-    recomputes it. *)
-
-val worker_restarts : t -> int
-(** Worker-domain respawns performed by the supervisor. *)
+(** True once any slot is down — its domain died, or a wedged domain
+    was confiscated — so the runtime is serving at reduced width.
+    Latched until the next lifecycle start recomputes it. *)
 
 val migrations : t -> int
 (** Color-queues re-homed from failed slots to survivors. *)

@@ -1,105 +1,26 @@
-(* Pure supervision policy: phases, deadlines and the restart breaker.
-   No clock reads, no domains — the runtime's monitor passes [now_ns]
-   in, which is what makes the storm behavior unit-testable with a
-   virtual clock (the satellite the ISSUE asks for). *)
+(* Supervision vocabulary: the slot phases and the wedge deadlines. The
+   runtime's monitor (runtime.ml) drives the state machine; this module
+   only names it, so the telemetry plane can export it without
+   depending on the runtime. *)
 
-type phase = Live | Suspect | Quarantined | Dead | Restarting | Lost
+type phase = Live | Suspect | Quarantined | Dead | Lost
 
 let phase_name = function
   | Live -> "live"
   | Suspect -> "suspect"
   | Quarantined -> "quarantined"
   | Dead -> "dead"
-  | Restarting -> "restarting"
   | Lost -> "lost"
 
 type config = {
-  poll_interval_s : float;
   wedge_warn_ns : int;
   wedge_kill_ns : int;
   confirm_wait_ns : int;
-  backoff_base_ns : int;
-  backoff_max_ns : int;
-  storm_window_ns : int;
-  storm_max : int;
 }
 
 let default_config =
   {
-    poll_interval_s = 0.005;
     wedge_warn_ns = 1_000_000_000;
     wedge_kill_ns = 8_000_000_000;
     confirm_wait_ns = 2_000_000_000;
-    backoff_base_ns = 10_000_000;
-    backoff_max_ns = 2_000_000_000;
-    storm_window_ns = 30_000_000_000;
-    storm_max = 5;
   }
-
-module Breaker = struct
-  type t = {
-    config : config;
-    mutable backoff_ns : int;  (* next restart's delay *)
-    mutable not_before_ns : int;  (* earliest allowed restart instant *)
-    mutable window : int list;  (* restart instants, newest first *)
-    mutable restarts : int;
-    mutable tripped : bool;
-  }
-
-  type decision = Restart | Wait of int | Give_up
-
-  let create config =
-    {
-      config;
-      backoff_ns = config.backoff_base_ns;
-      not_before_ns = 0;
-      window = [];
-      restarts = 0;
-      tripped = false;
-    }
-
-  let prune t ~now_ns =
-    t.window <-
-      List.filter (fun ts -> now_ns - ts < t.config.storm_window_ns) t.window
-
-  let decide t ~now_ns =
-    if t.tripped then Give_up
-    else begin
-      (* The storm check is on *performed* restarts within the sliding
-         window: this death would make restart number [storm_max + 1]
-         inside it — flapping — so trip the latch and leave the slot
-         down. A slot whose last restart survives a full window never
-         trips: the window slides empty on its own. *)
-      let in_window =
-        List.length
-          (List.filter
-             (fun ts -> now_ns - ts < t.config.storm_window_ns)
-             t.window)
-      in
-      if in_window >= t.config.storm_max then begin
-        t.tripped <- true;
-        Give_up
-      end
-      else if now_ns < t.not_before_ns then Wait (t.not_before_ns - now_ns)
-      else Restart
-    end
-
-  let note_restart t ~now_ns =
-    prune t ~now_ns;
-    t.window <- now_ns :: t.window;
-    t.restarts <- t.restarts + 1;
-    t.not_before_ns <- now_ns + t.backoff_ns;
-    t.backoff_ns <- min t.config.backoff_max_ns (t.backoff_ns * 2)
-
-  let note_healthy t ~now_ns =
-    match t.window with
-    | [] -> ()
-    | last :: _ ->
-      if (not t.tripped) && now_ns - last >= t.config.storm_window_ns then begin
-        t.backoff_ns <- t.config.backoff_base_ns;
-        t.window <- []
-      end
-
-  let restarts t = t.restarts
-  let tripped t = t.tripped
-end

@@ -1,93 +1,53 @@
-(** Worker-domain supervision policy: the pure half.
+(** Worker-domain supervision: the slot phases and the wedge deadlines.
 
-    The runtime's monitor domain (see [runtime.ml]) detects dead and
-    wedged worker domains and decides what to do about them. Every
-    decision that involves *time* — the wedge deadlines, the restart
-    backoff, the restart-storm circuit breaker — lives here as a pure
-    state machine driven by an explicit [now_ns] clock, so the whole
-    policy is unit-testable with a virtual clock and the monitor is
-    just a thin driver.
+    The runtime's monitor domain (see [runtime.ml]) reclaims dead
+    worker domains and quarantines wedged ones. It sleeps until a
+    worker's death or a stop wakes it, or until a quarter of
+    [wedge_warn_ns] has passed, the cadence at which it ages busy
+    handlers against the deadlines below.
 
     Supervision state machine (DESIGN.md §5j):
 
     {v
       live ──(busy > warn deadline)──► suspect
+      suspect ──(handler returns)──► live
       suspect ──(busy > kill deadline)──► quarantined
-      quarantined ──(worker acks at its next event boundary)──► dead
-      quarantined ──(no ack within confirm window)──► lost
-      dead ──(breaker says Restart)──► restarting ──► live
-      dead/restarting ──(breaker says Give_up)──► lost
+      quarantined ──(worker resumes at its next event boundary)──► live
+      quarantined ──(no resume within confirm window)──► lost
+      any running phase ──(domain exits with an exception)──► dead
     v}
 
-    [dead] also follows directly from a domain exit (clean kill or an
-    escape past the execute boundary). [lost] is terminal: the slot is
-    never respawned (a force-confiscated domain may still be alive, and
-    its telemetry/trace shards must keep a single writer), and any
+    A [dead] slot's colors are migrated to survivors and the slot stays
+    down until the next lifecycle start: worker domains are never
+    respawned mid-run, as in the paper, whose runtime runs one thread
+    per core for the life of the process. A [lost] slot (confiscated
+    while possibly still alive) is not respawned while its zombie may
+    run, so the zombie's telemetry and trace shards keep a single
+    writer. Any [dead] or
     [lost] slot marks the runtime degraded. *)
 
 (** Slot lifecycle, exported through the telemetry plane. *)
 type phase =
   | Live  (** a worker domain is running this slot *)
   | Suspect  (** current handler busy past the warn deadline *)
-  | Quarantined  (** quarantine requested; waiting for the ack *)
-  | Dead  (** domain exited; colors reclaimed; awaiting restart *)
-  | Restarting  (** breaker approved; replacement being spawned *)
+  | Quarantined  (** quarantine requested; waiting for the resume *)
+  | Dead  (** domain exited by an exception; colors reclaimed *)
   | Lost
-      (** terminal: confiscated while possibly alive, or the breaker
-          gave up — the runtime runs degraded at N-1 workers *)
+      (** confiscated while possibly alive: the wedged color's backlog
+          was abandoned and its other colors migrated *)
 
 val phase_name : phase -> string
 
 type config = {
-  poll_interval_s : float;  (** monitor tick cadence, seconds *)
-  wedge_warn_ns : int;  (** busy this long = suspect *)
+  wedge_warn_ns : int;
+      (** busy this long = suspect; the monitor wakes at least every
+          quarter of this *)
   wedge_kill_ns : int;  (** busy this long = request quarantine *)
   confirm_wait_ns : int;
-      (** quarantine unacked this long = force-confiscate (lost) *)
-  backoff_base_ns : int;  (** delay before the first restart *)
-  backoff_max_ns : int;  (** backoff ceiling (doubles up to this) *)
-  storm_window_ns : int;  (** sliding window for storm detection *)
-  storm_max : int;
-      (** restarts allowed within one window before the breaker trips *)
+      (** quarantine not resumed this long = force-confiscate (lost) *)
 }
 
 val default_config : config
-(** Generous production defaults: 5 ms polls, 1 s warn, 8 s kill, 2 s
-    confirm, 10 ms..2 s backoff, at most 5 restarts per 30 s window —
-    no false positives on millisecond handlers, no restart flapping. *)
-
-(** Restart-backoff + restart-storm circuit breaker, one per worker
-    slot. Pure: every transition is a function of the explicit
-    [now_ns], so the storm tests drive it with a virtual clock. *)
-module Breaker : sig
-  type t
-
-  type decision =
-    | Restart  (** spawn the replacement now *)
-    | Wait of int  (** backoff: not before [now_ns + this many ns] *)
-    | Give_up  (** storm tripped: leave the slot down (degraded) *)
-
-  val create : config -> t
-
-  val decide : t -> now_ns:int -> decision
-  (** What to do about a dead slot at [now_ns]. [Give_up] latches: a
-      death arriving while the storm window already holds [storm_max]
-      restarts trips the breaker permanently. A slot whose latest
-      restart outlives a full window never trips — the window slides
-      empty on its own. *)
-
-  val note_restart : t -> now_ns:int -> unit
-  (** Record that a restart was performed at [now_ns]: doubles the
-      backoff and adds the restart to the storm window. *)
-
-  val note_healthy : t -> now_ns:int -> unit
-  (** Record that the slot survived a full storm window since its last
-      restart: resets the backoff to base (the storm window itself
-      slides on its own). *)
-
-  val restarts : t -> int
-  (** Total restarts recorded. *)
-
-  val tripped : t -> bool
-  (** The breaker gave up on this slot. *)
-end
+(** Generous production defaults: 1 s warn (so the monitor wakes every
+    250 ms), 8 s kill, 2 s confirm — no false positives on millisecond
+    handlers. *)

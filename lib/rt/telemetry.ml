@@ -164,7 +164,6 @@ type worker_snap = {
           while idle or wedged — read with [w_busy_ns] to tell apart *)
   w_busy_ns : int;
       (** ns the current handler has been executing; 0 when idle *)
-  w_restarts : int;  (** times this slot's domain was respawned *)
 }
 
 type snapshot = {
@@ -182,9 +181,8 @@ type snapshot = {
   s_worthy_threshold : int;  (** worthiness bar, {!Mely.steal_cost_prior} *)
   s_live_workers : int;  (** slots with a running worker domain *)
   s_degraded : bool;
-      (** some slot is terminally lost (breaker tripped or a wedged
-          domain was confiscated): the runtime serves at reduced width *)
-  s_restarts : int;  (** worker-domain restarts performed *)
+      (** some slot is Dead (its domain died) or Lost (a wedged domain
+          was confiscated): the runtime serves at reduced width *)
   s_migrations : int;  (** color-queues re-homed off failed workers *)
   s_reclaimed : int;  (** color-queues swept from failed slots *)
   s_abandoned : int;

@@ -57,9 +57,10 @@ type span =
           was evicted (slow-loris 408) *)
   | Death of { d_reason : string; d_ns : int64 }
       (** this worker's domain died (escape past the execute boundary,
-          deliberate kill, or quarantine ack) — recorded by the dying
-          domain itself, keeping the ring single-writer; the supervisor
-          then reclaims the slot's colors and respawns or degrades *)
+          deliberate kill, or a zombie's exit after confiscation) —
+          recorded by the dying domain itself, keeping the ring
+          single-writer; the supervisor then reclaims the slot's colors
+          and the runtime runs degraded *)
 
 type config = {
   capacity : int;  (** spans retained per worker ring *)

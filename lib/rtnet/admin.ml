@@ -48,11 +48,9 @@ let metrics_text (rt : Rt.Telemetry.snapshot) (net : net) =
   gauge ~name:"mely_runtime_live_workers"
     ~help:"Worker slots with a running domain" (float_of_int rt.s_live_workers);
   gauge ~name:"mely_runtime_degraded"
-    ~help:"1 once any worker slot is terminally lost (breaker tripped or wedged \
-           domain confiscated)"
+    ~help:"1 once any worker slot is down (its domain died, or a wedged \
+           domain was confiscated)"
     (if rt.s_degraded then 1.0 else 0.0);
-  counter ~name:"mely_runtime_restarts_total"
-    ~help:"Worker-domain respawns by the supervisor" rt.s_restarts;
   counter ~name:"mely_runtime_migrations_total"
     ~help:"Color-queues re-homed off failed workers" rt.s_migrations;
   counter ~name:"mely_runtime_reclaimed_colors_total"
@@ -108,8 +106,6 @@ let metrics_text (rt : Rt.Telemetry.snapshot) (net : net) =
         ~help:"Seconds the current handler has been executing (0 when idle)"
         ~labels
         (float_of_int w.w_busy_ns /. 1e9);
-      counter ~name:"mely_worker_restarts_total"
-        ~help:"Times this slot's domain was respawned" ~labels w.w_restarts;
       gauge ~name:"mely_worker_busy_seconds_total"
         ~help:"Seconds spent executing handlers" ~labels
         (float_of_int w.w_service_sum_ns /. 1e9);
@@ -234,7 +230,6 @@ let worker_json (w : Rt.Telemetry.worker_snap) =
       ("phase", Str (Rt.Supervision.phase_name w.w_phase));
       ("heartbeat_age_ns", int w.w_hb_age_ns);
       ("inflight_ns", int w.w_busy_ns);
-      ("restarts", int w.w_restarts);
       ("queue_wait", hist_json ~sum_ns:w.w_qwait_sum_ns w.w_qwait);
       ("queue_wait_window", hist_json w.w_qwait_win);
       ("service", hist_json ~sum_ns:w.w_service_sum_ns w.w_service);
@@ -286,7 +281,6 @@ let stats_json (rt : Rt.Telemetry.snapshot) (net : net) =
                ("worthy_threshold", int rt.s_worthy_threshold);
                ("live_workers", int rt.s_live_workers);
                ("degraded", Bool rt.s_degraded);
-               ("restarts", int rt.s_restarts);
                ("migrations", int rt.s_migrations);
                ("reclaimed", int rt.s_reclaimed);
                ("abandoned", int rt.s_abandoned);

@@ -635,7 +635,17 @@ let test_admin_endpoints () =
           in
           Alcotest.(check bool) "shards served the load" true (served >= conns * requests);
           let status, _ = roundtrip fd (get "/nope") in
-          Alcotest.(check string) "unknown admin path is 404" "HTTP/1.1 404 Not Found" status);
+          Alcotest.(check string) "unknown admin path is 404" "HTTP/1.1 404 Not Found" status;
+          (* A dead worker stays down: /healthz still answers 200, with
+             the reduced width. *)
+          Rt.Runtime.inject_worker_death rt (workers - 1);
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          while (not (Rt.Runtime.is_degraded rt)) && Unix.gettimeofday () < deadline do
+            Unix.sleepf 0.002
+          done;
+          Alcotest.(check string) "healthz after a death"
+            (Printf.sprintf "degraded %d/%d" (workers - 1) workers)
+            (String.trim (fetch "/healthz")));
       Rtnet.Server.stop server;
       Rt.Runtime.stop rt)
 
@@ -811,6 +821,76 @@ let test_stalled_reader_evicted_by_write_deadline () =
       Alcotest.(check int) "accepted = closed" s.conns_accepted s.conns_closed;
       Alcotest.(check int) "dropped as failed" 1 s.conns_failed)
 
+(* [melyctl rt serve] must see SIGTERM promptly while its workers and
+   shard are busy. OCaml 5 runs a signal's handler on whichever domain
+   polls first, so under load it is rarely the main thread; the main
+   thread must not depend on its own EINTR to notice the stop. *)
+let test_serve_sigterm_under_load () =
+  let melyctl =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/melyctl.exe"
+  in
+  let out = Filename.temp_file "serve" ".log" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let log = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let serve =
+    Unix.create_process melyctl
+      [| melyctl; "rt"; "serve"; "--workers"; "2"; "--shards"; "1"; "--port"; "0" |]
+      null log log
+  in
+  Unix.close log;
+  let read_log () = In_channel.with_open_bin out In_channel.input_all in
+  let listening = Str.regexp "serving .* on 127.0.0.1:\\([0-9]+\\)" in
+  let port = ref None in
+  ignore
+    (await ~secs:10.0 (fun () ->
+         let log = read_log () in
+         match Str.search_forward listening log 0 with
+         | _ ->
+           port := Some (int_of_string (Str.matched_group 1 log));
+           true
+         | exception Not_found -> false));
+  let exited = ref None in
+  let reap () =
+    match Unix.waitpid [ Unix.WNOHANG ] serve with
+    | 0, _ -> false
+    | _, st ->
+      exited := Some st;
+      true
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if !exited = None then begin
+        Unix.kill serve Sys.sigkill;
+        ignore (Unix.waitpid [] serve)
+      end;
+      Unix.close null;
+      Sys.remove out)
+    (fun () ->
+      let port =
+        match !port with
+        | Some p -> p
+        | None -> Alcotest.failf "serve never listened:\n%s" (read_log ())
+      in
+      let load =
+        Unix.create_process melyctl
+          [| melyctl; "rt"; "loadgen"; "--port"; string_of_int port; "--conns"; "8";
+             "--requests"; "1000000"; "--pipeline"; "8" |]
+          null null null
+      in
+      Unix.sleepf 0.5;
+      let t0 = Unix.gettimeofday () in
+      Unix.kill serve Sys.sigterm;
+      let gone = await ~secs:15.0 reap in
+      let waited = Unix.gettimeofday () -. t0 in
+      Unix.kill load Sys.sigkill;
+      ignore (Unix.waitpid [] load);
+      Alcotest.(check bool)
+        (Printf.sprintf "exited within 15 s of SIGTERM (took %.2f s)" waited)
+        true gone;
+      Alcotest.(check bool) "exit status 0" true (!exited = Some (Unix.WEXITED 0));
+      Alcotest.(check bool) "drained on the signal" true
+        (contains (read_log ()) "signal received, draining"))
+
 let suite =
   [
     Alcotest.test_case "e2e: 5k pipelined torn requests, 4 workers" `Slow
@@ -848,4 +928,6 @@ let suite =
     Alcotest.test_case
       "write stall: eviction follows the write deadline, not the header one"
       `Quick test_stalled_reader_evicted_by_write_deadline;
+    Alcotest.test_case "melyctl rt serve: SIGTERM under load drains promptly"
+      `Quick test_serve_sigterm_under_load;
   ]
